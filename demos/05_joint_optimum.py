@@ -6,14 +6,11 @@ with the direct (no-relay) route.
 """
 
 from mqamlink import (
-    BerTarget,
     CircuitProfile,
     LinearNetwork,
     PropagationParams,
     RadioConfig,
     SweepPlan,
-    energy_to_dbmj,
-    joint_optimize,
     run_joint,
 )
 
@@ -41,14 +38,6 @@ for b in (2, 4, 6, 8, 10):
 print(
     f"\nglobal minimum: b={best.b}, P_t={best.pt_mw:g} mW, route {best.route_mask}, "
     f"{best.energy_dbmj:.2f} dBmJ"
-)
-
-b, pt_w, result = joint_optimize(
-    net, list(pt_grid_w), [2, 4, 6, 8, 10], BerTarget(1e-4), circuit, radio, prop
-)
-print(
-    f"joint_optimize agrees: b={b}, {pt_w * 1e3:g} mW, "
-    f"{energy_to_dbmj(result.total_energy_per_bit):.2f} dBmJ"
 )
 
 print("\ncutting transmit power below the fixed 100 mW default pays for the")

@@ -10,6 +10,7 @@ linear network to minimize it.
 from .channel import (
     PropagationParams,
     ShadowedLink,
+    UnreachableLinkError,
     dbm_to_watts,
     k_db_from_carrier,
     mean_received_power_dbm,
@@ -46,13 +47,11 @@ from .network import (
     LinearNetwork,
     Route,
     RouteResult,
-    joint_optimize,
     optimal_route,
-    optimal_route_dp,
     route_cost,
     route_hops,
 )
-from .numerics import BracketError, QuadratureSpec, gaussian_q, integrate, solve_monotone
+from .numerics import gaussian_q
 from .sweep import SweepPlan, SweepRow, run_joint, run_multihop, run_singlehop
 
 __version__ = "0.1.0"
@@ -67,6 +66,7 @@ __all__ = [
     "outage_probability",
     "required_pt_dbm",
     "monte_carlo_outage",
+    "UnreachableLinkError",
     "CircuitProfile",
     "FixedPower",
     "VariablePower",
@@ -93,13 +93,7 @@ __all__ = [
     "route_hops",
     "route_cost",
     "optimal_route",
-    "optimal_route_dp",
-    "joint_optimize",
-    "QuadratureSpec",
-    "BracketError",
     "gaussian_q",
-    "integrate",
-    "solve_monotone",
     "SweepPlan",
     "SweepRow",
     "run_singlehop",

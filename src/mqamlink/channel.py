@@ -30,6 +30,7 @@ __all__ = [
     "outage_probability",
     "required_pt_dbm",
     "monte_carlo_outage",
+    "UnreachableLinkError",
 ]
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -38,6 +39,11 @@ DEFAULT_CARRIER_HZ = 2.5e9
 # Safety cap on retransmission rounds in the Monte Carlo loop; only
 # reachable when the outage probability is pathologically close to 1.
 _MAX_MC_ROUNDS = 100_000
+
+
+class UnreachableLinkError(ValueError):
+    """Hop that cannot carry traffic: shorter than the far-field reference
+    distance, or so deep in outage that its outage probability rounds to 1."""
 
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -104,7 +110,7 @@ def mean_received_power_dbm(
 ) -> float:
     """Mean (shadowing at zero) received power in dBm at the given distance."""
     if distance_m < params.d0_m:
-        raise ValueError(
+        raise UnreachableLinkError(
             f"distance {distance_m} m is inside the far-field reference {params.d0_m} m"
         )
     return pt_dbm + params.k_db - 10.0 * params.beta * math.log10(distance_m / params.d0_m)
@@ -133,7 +139,7 @@ def required_pt_dbm(
     through it reproduces pmin up to floating-point rounding.
     """
     if distance_m < params.d0_m:
-        raise ValueError(
+        raise UnreachableLinkError(
             f"distance {distance_m} m is inside the far-field reference {params.d0_m} m"
         )
     return pmin_dbm - params.k_db + 10.0 * params.beta * math.log10(distance_m / params.d0_m)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import ShadowedLink, monte_carlo_outage
+from .channel import ShadowedLink, UnreachableLinkError, monte_carlo_outage
 from .config import ConfigError, RunConfig, parse_config
 from .energy import link_metrics
 from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
@@ -44,6 +44,8 @@ _JOINT_COLUMNS = (
     "ber_target", "b", "pt_mw", "route_mask", "energy_dbmj", "delay_s",
     "is_global_min",
 )
+# CSV columns named differently from the SweepRow field they show
+_COLUMN_FIELDS = {"is_global_min": "is_argmin"}
 
 
 def _fmt(value: object) -> str:
@@ -58,24 +60,7 @@ def _fmt(value: object) -> str:
 
 
 def _row_cells(row: SweepRow, columns: Sequence[str]) -> list[str]:
-    mapping = {
-        "policy": row.policy,
-        "ber_target": row.ber_target,
-        "b": row.b,
-        "d_m": row.d_m,
-        "pt_mw": row.pt_mw,
-        "pt_dbm": row.pt_dbm,
-        "pmin_dbm": row.pmin_dbm,
-        "p_link": row.p_link,
-        "route_mask": row.route_mask,
-        "hops": row.hops,
-        "energy_j_per_bit": row.energy_j_per_bit,
-        "energy_dbmj": row.energy_dbmj,
-        "delay_s": row.delay_s,
-        "is_argmin": row.is_argmin,
-        "is_global_min": row.is_argmin,
-    }
-    return [_fmt(mapping[name]) for name in columns]
+    return [_fmt(getattr(row, _COLUMN_FIELDS.get(name, name))) for name in columns]
 
 
 def _write_csv(path: str, columns: Sequence[str], rows: list[SweepRow]) -> None:
@@ -176,8 +161,9 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
                     d, policy, ModulationScheme(b), BerTarget(config.ber_target),
                     circuit, radio, prop,
                 )
-            except InfeasibleTargetError as exc:
-                print(f"link b={b} d_m={_fmt(d)}: SKIP (infeasible: {exc})")
+            except (InfeasibleTargetError, UnreachableLinkError) as exc:
+                reason = "unreachable" if isinstance(exc, UnreachableLinkError) else "infeasible"
+                print(f"link b={b} d_m={_fmt(d)}: SKIP ({reason}: {exc})")
                 index += 1
                 continue
             p = metrics.p_link

@@ -40,8 +40,8 @@ from typing import Optional
 
 from .channel import PropagationParams, k_db_from_carrier
 from .energy import CircuitProfile, FixedPower, PowerPolicy, VariablePower
-from .modulation import RadioConfig
-from .network import LinearNetwork
+from .modulation import ALLOWED_BITS_PER_SYMBOL, RadioConfig
+from .network import MAX_RELAYS, LinearNetwork
 from .sweep import SweepPlan
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config"]
@@ -81,7 +81,7 @@ class RunConfig:
     relay_count: int = 9
     policy: str = "fixed"
     pt_mw: float = 100.0
-    b_grid: tuple[int, ...] = (2, 4, 6, 8, 10)
+    b_grid: tuple[int, ...] = ALLOWED_BITS_PER_SYMBOL
     d_grid_m: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 100.0)
     pt_grid_mw: tuple[float, ...] = tuple(float(p) for p in range(5, 105, 5))
     ber_target: float = 1e-4
@@ -165,10 +165,11 @@ class RunConfig:
             ("bandwidth_hz", self.bandwidth_hz > 0),
             ("packet_bits", self.packet_bits > 0),
             ("total_distance_m", self.total_distance_m > 0),
-            ("relay_count", 0 <= self.relay_count <= 30),
+            ("relay_count", 0 <= self.relay_count <= MAX_RELAYS),
             ("policy", self.policy in ("fixed", "variable")),
             ("pt_mw", self.pt_mw > 0),
-            ("b_grid", len(self.b_grid) > 0 and all(b in (2, 4, 6, 8, 10) for b in self.b_grid)),
+            ("b_grid", len(self.b_grid) > 0
+             and all(b in ALLOWED_BITS_PER_SYMBOL for b in self.b_grid)),
             ("d_grid_m", len(self.d_grid_m) > 0 and all(d > 0 for d in self.d_grid_m)),
             ("pt_grid_mw", len(self.pt_grid_mw) > 0 and all(p > 0 for p in self.pt_grid_mw)),
             ("ber_target", 0 < self.ber_target < 0.375),

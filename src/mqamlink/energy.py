@@ -16,6 +16,7 @@ from typing import Union
 from .channel import (
     PropagationParams,
     ShadowedLink,
+    UnreachableLinkError,
     dbm_to_watts,
     outage_probability,
     required_pt_dbm,
@@ -167,6 +168,8 @@ def link_metrics(
     threshold, applies the power policy (a variable-power link lands
     exactly on the threshold, so its outage probability is 1/2), and
     folds the outage probability into the retransmission expectations.
+    Raises UnreachableLinkError for a hop shorter than d0 or one whose
+    outage probability rounds to 1.
     """
     gamma = required_gamma_b(target, scheme, tol)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
@@ -178,6 +181,11 @@ def link_metrics(
         pt_dbm = required_pt_dbm(pmin_dbm, distance_m, prop)
         pt_w = dbm_to_watts(pt_dbm)
     p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
+    if p_link >= 1.0:
+        raise UnreachableLinkError(
+            f"{distance_m} m hop is unusable: its outage probability rounds to 1 "
+            f"(P_t {pt_dbm:.6g} dBm, threshold {pmin_dbm:.6g} dBm)"
+        )
     e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
     return LinkMetrics(
         p_link=p_link,

@@ -2,32 +2,34 @@
 
 Between a source and a destination sit N relays, each either forwarding
 or sleeping; a route is the bitmask of forwarding relays, giving 2^N
-candidates. Route cost is the sum of independent per-hop costs, which
-makes exhaustive search and a shortest-path dynamic program over node
-indices interchangeable; the latter serves as a cross-check oracle.
+candidates. Route cost is the sum of independent per-hop costs that
+depend only on the hop's index gap, so the cheapest route is a shortest
+path over the N+2 nodes, found in O(N^2) from N+1 link evaluations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .channel import PropagationParams
-from .energy import CircuitProfile, FixedPower, LinkMetrics, PowerPolicy, link_metrics
+from .channel import PropagationParams, UnreachableLinkError
+from .energy import CircuitProfile, LinkMetrics, PowerPolicy, link_metrics
 from .modulation import BerTarget, ModulationScheme, RadioConfig
 
 __all__ = [
-    "MAX_ENUMERATED_RELAYS",
+    "MAX_RELAYS",
     "LinearNetwork",
     "Route",
     "RouteResult",
     "route_hops",
     "route_cost",
     "optimal_route",
-    "optimal_route_dp",
-    "joint_optimize",
 ]
 
-MAX_ENUMERATED_RELAYS = 30
+MAX_RELAYS = 30
+
+# route objective -> the per-hop LinkMetrics field it sums
+_HOP_COST_FIELD = {"energy": "energy_per_bit", "delay": "delay"}
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,9 @@ class LinearNetwork:
     def __post_init__(self) -> None:
         if self.total_distance_m <= 0:
             raise ValueError(f"total_distance_m must be positive, got {self.total_distance_m}")
-        if not 0 <= self.relay_count <= MAX_ENUMERATED_RELAYS:
+        if not 0 <= self.relay_count <= MAX_RELAYS:
             raise ValueError(
-                f"relay_count must lie in [0, {MAX_ENUMERATED_RELAYS}], got {self.relay_count}"
+                f"relay_count must lie in [0, {MAX_RELAYS}], got {self.relay_count}"
             )
 
     @property
@@ -97,25 +99,6 @@ def route_hops(route: Route, net: LinearNetwork) -> list[float]:
     return [gap * net.spacing_m for gap in _hop_gaps(route.active_mask, net.relay_count)]
 
 
-def _gap_metrics(
-    net: LinearNetwork,
-    policy: PowerPolicy,
-    scheme: ModulationScheme,
-    target: BerTarget,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    t_r_s: float | None,
-) -> dict[int, LinkMetrics]:
-    """Per-hop metrics keyed by index gap; only N+1 distinct hop lengths exist."""
-    return {
-        gap: link_metrics(
-            gap * net.spacing_m, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s
-        )
-        for gap in range(1, net.relay_count + 2)
-    }
-
-
 def _assemble(route: Route, net: LinearNetwork, metrics: dict[int, LinkMetrics]) -> RouteResult:
     energy = 0.0
     delay = 0.0
@@ -139,21 +122,22 @@ def route_cost(
     prop: PropagationParams,
     t_r_s: float | None = None,
 ) -> RouteResult:
-    """Expected energy and delay of one route, hop costs summed independently."""
+    """Expected energy and delay of one route, hop costs summed independently.
+
+    Raises UnreachableLinkError when one of the route's hops cannot carry
+    traffic.
+    """
     if not 0 <= route.active_mask < 2**net.relay_count:
         raise ValueError(
             f"mask {route.active_mask} out of range for {net.relay_count} relays"
         )
-    metrics = _gap_metrics(net, policy, scheme, target, circuit, radio, prop, t_r_s)
+    metrics = {
+        gap: link_metrics(
+            gap * net.spacing_m, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s
+        )
+        for gap in set(_hop_gaps(route.active_mask, net.relay_count))
+    }
     return _assemble(route, net, metrics)
-
-
-def _objective_key(objective: str):
-    if objective == "energy":
-        return lambda r: r.total_energy_per_bit
-    if objective == "delay":
-        return lambda r: r.total_delay
-    raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
 
 
 def optimal_route(
@@ -167,95 +151,58 @@ def optimal_route(
     objective: str = "energy",
     t_r_s: float | None = None,
 ) -> RouteResult:
-    """Exhaustive search over all 2^N relay subsets for the cheapest route.
+    """Cheapest route under the objective ('energy' or 'delay').
 
-    Ties break toward the smaller mask value so results are reproducible.
+    Nodes along the line (source 0, relays 1..N, destination N+1) form a
+    DAG whose edge (i, j) is one hop of length (j - i) * spacing; additive
+    hop costs make the shortest path the cheapest route. A gap whose hop
+    cannot carry traffic (shorter than d0, or outage rounding to 1) is no
+    edge. UnreachableLinkError is raised when no route is left.
+
+    Ties: each node scans its predecessors in ascending order and replaces
+    the current one only on a strictly smaller cost, so it keeps its
+    smallest cheapest predecessor. In exact arithmetic that picks the
+    smallest mask among equal-cost routes. Permutations of the same hop
+    gaps cost the same exactly but are summed in different orders: float
+    rounding can then split their partial sums at an intermediate node,
+    and the pick can differ from the smallest mask at an equal total.
     """
-    key = _objective_key(objective)
-    metrics = _gap_metrics(net, policy, scheme, target, circuit, radio, prop, t_r_s)
-    best: RouteResult | None = None
-    best_key = float("inf")
-    for mask in range(2**net.relay_count):
-        result = _assemble(Route(mask), net, metrics)
-        value = key(result)
-        if value < best_key:
-            best = result
-            best_key = value
-    assert best is not None
-    return best
-
-
-def optimal_route_dp(
-    net: LinearNetwork,
-    policy: PowerPolicy,
-    scheme: ModulationScheme,
-    target: BerTarget,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    objective: str = "energy",
-    t_r_s: float | None = None,
-) -> RouteResult:
-    """Same contract as optimal_route via an O(N^2) shortest-path recursion.
-
-    Nodes along the line form a DAG whose edge (i, j) costs one hop of
-    length (j - i) * spacing; additive hop costs make the cheapest path
-    the cheapest route. Independent of the exhaustive enumeration, which
-    it cross-validates.
-    """
-    _objective_key(objective)  # validate
-    metrics = _gap_metrics(net, policy, scheme, target, circuit, radio, prop, t_r_s)
+    if objective not in _HOP_COST_FIELD:
+        raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
-    dist = [float("inf")] * n_nodes
+    metrics: dict[int, LinkMetrics] = {}
+    hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
+    unreachable: UnreachableLinkError | None = None
+    for gap in range(1, n_nodes):
+        try:
+            m = link_metrics(
+                gap * net.spacing_m, policy, scheme, target, circuit, radio, prop,
+                t_r_s=t_r_s,
+            )
+        except UnreachableLinkError as exc:
+            unreachable = exc
+            continue
+        metrics[gap] = m
+        hop_cost[gap] = getattr(m, _HOP_COST_FIELD[objective])
+    dist = [math.inf] * n_nodes
     pred = [-1] * n_nodes
     dist[0] = 0.0
-    hop_value = {
-        gap: (m.energy_per_bit if objective == "energy" else m.delay)
-        for gap, m in metrics.items()
-    }
     for j in range(1, n_nodes):
         for i in range(j):
-            candidate = dist[i] + hop_value[j - i]
+            candidate = dist[i] + hop_cost[j - i]
             if candidate < dist[j]:
                 dist[j] = candidate
                 pred[j] = i
+    if pred[-1] < 0:
+        # the direct hop is then unusable too, and it was the last one tried
+        raise UnreachableLinkError(
+            f"no usable route across {net.total_distance_m} m with {net.relay_count} "
+            f"relays: every route has a hop that cannot carry traffic ({unreachable})"
+        )
     nodes = [n_nodes - 1]
     while nodes[-1] != 0:
         nodes.append(pred[nodes[-1]])
-    nodes.reverse()
     mask = 0
     for node in nodes[1:-1]:
         mask |= 1 << (node - 1)
     return _assemble(Route(mask), net, metrics)
-
-
-def joint_optimize(
-    net: LinearNetwork,
-    pt_grid_watts: list[float],
-    b_grid: list[int],
-    target: BerTarget,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    t_r_s: float | None = None,
-) -> tuple[int, float, RouteResult]:
-    """Minimize route energy jointly over constellation size and transmit power.
-
-    Runs the optimal-route search for every (b, pt) grid point and returns
-    (b, pt_watts, RouteResult) of the global minimizer; ties break toward
-    smaller b, then smaller pt, then smaller mask.
-    """
-    if not pt_grid_watts or not b_grid:
-        raise ValueError("pt_grid_watts and b_grid must be nonempty")
-    best: tuple[int, float, RouteResult] | None = None
-    for b in sorted(b_grid):
-        scheme = ModulationScheme(b)
-        for pt_w in sorted(pt_grid_watts):
-            result = optimal_route(
-                net, FixedPower(pt_w), scheme, target, circuit, radio, prop,
-                objective="energy", t_r_s=t_r_s,
-            )
-            if best is None or result.total_energy_per_bit < best[2].total_energy_per_bit:
-                best = (b, pt_w, result)
-    assert best is not None
-    return best

@@ -4,16 +4,17 @@ Three sweep kinds: single-hop energy over (constellation, distance),
 multi-hop optimal-route energy/delay over (BER target, constellation),
 and the joint (constellation, transmit power) surface. Rows come back in
 canonical grid order with argmin flags, so CSV output is deterministic.
-Grid points with infeasible BER targets become error rows instead of
-aborting the sweep.
+Grid points with no answer (a BER target the constellation cannot meet,
+or no usable hop or route) become error rows instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
-from .channel import PropagationParams
+from .channel import PropagationParams, UnreachableLinkError
 from .energy import (
     CircuitProfile,
     FixedPower,
@@ -25,6 +26,8 @@ from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme, Radi
 from .network import LinearNetwork, optimal_route
 
 __all__ = ["SweepPlan", "SweepRow", "run_singlehop", "run_multihop", "run_joint"]
+
+_T = TypeVar("_T")
 
 _KINDS = ("singlehop", "multihop", "joint")
 
@@ -81,14 +84,56 @@ def _policy_name(policy: PowerPolicy) -> str:
     return "fixed" if isinstance(policy, FixedPower) else "variable"
 
 
-def _flag_argmin(rows: list[SweepRow], groups: dict, key) -> None:
-    """Mark, within each group, the row minimizing key (errors excluded)."""
-    for group_rows in groups.values():
+def _flag_argmin(groups, key) -> list[SweepRow]:
+    """Mark, within each group of rows, the row minimizing key (errors
+    excluded); return the marked rows."""
+    marked = []
+    for group_rows in groups:
         valid = [r for r in group_rows if r.error is None]
         if not valid:
             continue
         best = min(valid, key=key)
         best.is_argmin = True
+        marked.append(best)
+    return marked
+
+
+def _evaluate(row: SweepRow, compute: Callable[[], _T]) -> Optional[_T]:
+    """Result of one grid point, or None with row.error set when the model
+    has no answer there."""
+    try:
+        return compute()
+    except (InfeasibleTargetError, UnreachableLinkError) as exc:
+        row.error = str(exc)
+        return None
+
+
+def _route_row(
+    row: SweepRow,
+    net: LinearNetwork,
+    policy: PowerPolicy,
+    circuit: CircuitProfile,
+    radio: RadioConfig,
+    prop: PropagationParams,
+    objective: str,
+    t_r_s: float | None,
+) -> SweepRow:
+    """Fill row with the optimal route at its (b, BER target)."""
+    result = _evaluate(row, lambda: optimal_route(
+        net, policy, ModulationScheme(row.b), BerTarget(row.ber_target),
+        circuit, radio, prop, objective=objective, t_r_s=t_r_s,
+    ))
+    if result is not None:
+        row.route_mask = result.route.mask_string(net.relay_count)
+        row.hops = len(result.per_hop)
+        row.energy_j_per_bit = result.total_energy_per_bit
+        row.energy_dbmj = energy_to_dbmj(result.total_energy_per_bit)
+        row.delay_s = result.total_delay
+    return row
+
+
+def _energy(row: SweepRow) -> float:
+    return row.energy_j_per_bit
 
 
 def run_singlehop(
@@ -107,14 +152,11 @@ def run_singlehop(
     for b in plan.b_grid:
         for d in plan.d_grid_m:
             row = SweepRow(policy=_policy_name(plan.policy), b=b, ber_target=pb_bar, d_m=d)
-            try:
-                m = link_metrics(
-                    d, plan.policy, ModulationScheme(b), BerTarget(pb_bar),
-                    circuit, radio, prop, t_r_s=t_r_s,
-                )
-            except InfeasibleTargetError as exc:
-                row.error = str(exc)
-            else:
+            m = _evaluate(row, lambda: link_metrics(
+                d, plan.policy, ModulationScheme(b), BerTarget(pb_bar),
+                circuit, radio, prop, t_r_s=t_r_s,
+            ))
+            if m is not None:
                 row.pt_dbm = m.pt_dbm
                 row.pmin_dbm = m.pmin_dbm
                 row.p_link = m.p_link
@@ -123,7 +165,7 @@ def run_singlehop(
                 row.delay_s = m.delay
             rows.append(row)
             groups.setdefault(d, []).append(row)
-    _flag_argmin(rows, groups, key=lambda r: r.energy_j_per_bit)
+    _flag_argmin(groups.values(), key=_energy)
     return rows
 
 
@@ -145,28 +187,14 @@ def run_multihop(
     groups: dict[float, list[SweepRow]] = {}
     for pb_bar in plan.ber_grid:
         for b in plan.b_grid:
-            row = SweepRow(
-                policy=_policy_name(plan.policy), b=b, ber_target=pb_bar, pt_mw=pt_mw
+            row = _route_row(
+                SweepRow(policy=_policy_name(plan.policy), b=b, ber_target=pb_bar, pt_mw=pt_mw),
+                net, plan.policy, circuit, radio, prop, objective, t_r_s,
             )
-            try:
-                result = optimal_route(
-                    net, plan.policy, ModulationScheme(b), BerTarget(pb_bar),
-                    circuit, radio, prop, objective=objective, t_r_s=t_r_s,
-                )
-            except InfeasibleTargetError as exc:
-                row.error = str(exc)
-            else:
-                row.route_mask = result.route.mask_string(net.relay_count)
-                row.hops = len(result.per_hop)
-                row.energy_j_per_bit = result.total_energy_per_bit
-                row.energy_dbmj = energy_to_dbmj(result.total_energy_per_bit)
-                row.delay_s = result.total_delay
             rows.append(row)
             groups.setdefault(pb_bar, []).append(row)
-    objective_key = (
-        (lambda r: r.energy_j_per_bit) if objective == "energy" else (lambda r: r.delay_s)
-    )
-    _flag_argmin(rows, groups, key=objective_key)
+    objective_key = _energy if objective == "energy" else (lambda r: r.delay_s)
+    _flag_argmin(groups.values(), key=objective_key)
     return rows
 
 
@@ -179,32 +207,18 @@ def run_joint(
     t_r_s: float | None = None,
 ) -> tuple[list[SweepRow], Optional[SweepRow]]:
     """Optimal-route energy surface over (b, pt); returns rows plus the
-    global-minimum row (None when every grid point is infeasible)."""
+    global-minimum row (None when every grid point is infeasible). Ties
+    go to the smaller b, then the smaller pt."""
     if plan.kind != "joint":
         raise ValueError(f"plan kind must be 'joint', got {plan.kind!r}")
     pb_bar = plan.ber_grid[0]
-    rows: list[SweepRow] = []
-    for b in plan.b_grid:
-        for pt_w in plan.pt_grid_w:
-            row = SweepRow(
-                policy="fixed", b=b, ber_target=pb_bar, pt_mw=pt_w * 1e3
-            )
-            try:
-                result = optimal_route(
-                    net, FixedPower(pt_w), ModulationScheme(b), BerTarget(pb_bar),
-                    circuit, radio, prop, objective="energy", t_r_s=t_r_s,
-                )
-            except InfeasibleTargetError as exc:
-                row.error = str(exc)
-            else:
-                row.route_mask = result.route.mask_string(net.relay_count)
-                row.hops = len(result.per_hop)
-                row.energy_j_per_bit = result.total_energy_per_bit
-                row.energy_dbmj = energy_to_dbmj(result.total_energy_per_bit)
-                row.delay_s = result.total_delay
-            rows.append(row)
-    valid = [r for r in rows if r.error is None]
-    best = min(valid, key=lambda r: r.energy_j_per_bit) if valid else None
-    if best is not None:
-        best.is_argmin = True
-    return rows, best
+    rows = [
+        _route_row(
+            SweepRow(policy="fixed", b=b, ber_target=pb_bar, pt_mw=pt_w * 1e3),
+            net, FixedPower(pt_w), circuit, radio, prop, "energy", t_r_s,
+        )
+        for b in plan.b_grid
+        for pt_w in plan.pt_grid_w
+    ]
+    best = _flag_argmin([rows], key=_energy)
+    return rows, best[0] if best else None

@@ -7,6 +7,7 @@ from mqamlink.channel import (
     SPEED_OF_LIGHT,
     PropagationParams,
     ShadowedLink,
+    UnreachableLinkError,
     dbm_to_watts,
     k_db_from_carrier,
     mean_received_power_dbm,
@@ -73,8 +74,10 @@ class TestMeanPower:
         assert p10 - p100 == pytest.approx(10 * prop.beta, abs=1e-10)
 
     def test_inside_far_field_rejected(self, prop):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnreachableLinkError):
             mean_received_power_dbm(20.0, 0.5, prop)
+        with pytest.raises(UnreachableLinkError):
+            required_pt_dbm(-80.0, 0.5, prop)
 
 
 class TestOutage:

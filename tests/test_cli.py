@@ -1,6 +1,14 @@
 import csv
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from mqamlink.config import RunConfig, serialize_config
+from mqamlink.network import MAX_RELAYS
 
 
 def read_csv(path):
@@ -71,6 +79,68 @@ class TestJoint:
         assert winners[0]["b"] == "4" and winners[0]["pt_mw"] == "25"
         out_text = capsys.readouterr().out
         assert "joint global minimum: b=4 pt_mw=25" in out_text
+
+
+class TestUnusableHops:
+    """Hops shorter than d0 or with an outage rounding to 1 are left out of
+    the route search; a grid point with no answer becomes an error row."""
+
+    def run(self, tmp_path, config_text, *args):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text)
+        out = tmp_path / "out.csv"
+        code = main([*args, "--config", str(cfg), "--out", str(out)])
+        return code, read_csv(out) if out.exists() else None
+
+    def test_saturated_direct_hop_takes_every_relay(self, tmp_path):
+        code, rows = self.run(
+            tmp_path, "total_distance_m = 2000\npt_mw = 5\nb_grid = 2\n", "multihop"
+        )
+        assert code == EXIT_OK
+        assert len(rows) == 5
+        assert all(r["route_mask"] == "111111111" for r in rows)
+
+    def test_spacing_inside_far_field(self, tmp_path):
+        # 0.5 m spacing: a route may not pair two adjacent nodes
+        code, rows = self.run(tmp_path, "total_distance_m = 5\n", "multihop")
+        assert code == EXIT_OK
+        assert len(rows) == 25
+        assert all("11" not in f"1{r['route_mask']}1" for r in rows)
+
+    def test_singlehop_saturated_links_become_error_rows(self, tmp_path, capsys):
+        code, rows = self.run(tmp_path, "ber_target = 1e-7\n", "singlehop")
+        assert code == EXIT_OK
+        errors = [(r["b"], r["d_m"]) for r in rows if r["energy_dbmj"] == ""]
+        assert errors == [("10", "75"), ("10", "100")]
+        assert "rounds to 1" in capsys.readouterr().err
+
+    def test_validate_skips_unreachable_links(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("b_grid = 10\nd_grid_m = 0.5,100\nber_target = 1e-7\ntrials = 10000\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("SKIP (unreachable") == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        total_distance_m=st.floats(0.01, 1e4),
+        relay_count=st.integers(0, MAX_RELAYS),
+        pt_mw=st.floats(1e-3, 1e4),
+        policy=st.sampled_from(("fixed", "variable")),
+        objective=st.sampled_from(("energy", "delay")),
+    )
+    def test_multihop_never_raises(self, total_distance_m, relay_count, pt_mw, policy,
+                                   objective):
+        config = replace(
+            RunConfig(), total_distance_m=total_distance_m, relay_count=relay_count,
+            pt_mw=pt_mw, policy=policy,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.txt"
+            cfg.write_text(serialize_config(config))
+            code = main(["multihop", "--config", str(cfg), "--out", str(Path(tmp) / "o.csv"),
+                         "--objective", objective])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
 
 
 class TestValidate:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mqamlink.channel import dbm_to_watts
+from mqamlink.channel import UnreachableLinkError, dbm_to_watts
 from mqamlink.energy import (
     CircuitProfile,
     FixedPower,
@@ -171,6 +171,14 @@ class TestLinkMetrics:
 
         assert argmin_b(50.0) == 8
         assert argmin_b(75.0) == 6
+
+    def test_saturated_outage_is_unreachable(self, circuit, radio, prop):
+        # 1024-QAM at BER 1e-7 over 100 m at 100 mW: outage rounds to 1
+        with pytest.raises(UnreachableLinkError, match="rounds to 1"):
+            link_metrics(
+                100.0, FixedPower(0.1), ModulationScheme(10), BerTarget(1e-7),
+                circuit, radio, prop,
+            )
 
     def test_metrics_are_finite_and_positive(self, circuit, radio, prop):
         m = link_metrics(

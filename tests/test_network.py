@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from mqamlink.channel import PropagationParams, dbm_to_watts
-from mqamlink.energy import FixedPower, VariablePower, link_metrics, single_tx_energy_per_bit
+import mqamlink.network
+from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts
+from mqamlink.energy import (
+    FixedPower,
+    LinkMetrics,
+    VariablePower,
+    link_metrics,
+    single_tx_energy_per_bit,
+)
 from mqamlink.modulation import BerTarget, ModulationScheme
 from mqamlink.network import (
+    MAX_RELAYS,
     LinearNetwork,
     Route,
-    joint_optimize,
     optimal_route,
-    optimal_route_dp,
     route_cost,
     route_hops,
 )
+from mqamlink.sweep import SweepPlan, run_joint
+from route_oracle import exhaustive_route, oracle_route
 
 NET = LinearNetwork(100.0, 9)
 
@@ -90,11 +98,11 @@ class TestOptimalRoute:
             circuit, radio, prop,
         )
         assert result.route.active_mask == 0
-        dp = optimal_route_dp(
+        oracle = oracle_route(
             net, FixedPower(0.1), ModulationScheme(4), BerTarget(1e-4),
             circuit, radio, prop,
         )
-        assert dp.route.active_mask == 0
+        assert oracle.route.active_mask == 0
 
     def test_minimizer_dominates_extremes(self, circuit, radio, prop):
         scheme = ModulationScheme(8)
@@ -118,10 +126,10 @@ class TestOptimalRoute:
             target = BerTarget(float(10 ** rng.uniform(-4.5, -2.5)))
             policy = FixedPower(float(rng.uniform(0.01, 0.2)))
             objective = str(rng.choice(("energy", "delay")))
-            a = optimal_route(net, policy, scheme, target, circuit, radio, prop,
+            a = oracle_route(net, policy, scheme, target, circuit, radio, prop,
+                             objective=objective)
+            b = optimal_route(net, policy, scheme, target, circuit, radio, prop,
                               objective=objective)
-            b = optimal_route_dp(net, policy, scheme, target, circuit, radio, prop,
-                                 objective=objective)
             assert a.route == b.route
             assert a.total_energy_per_bit == pytest.approx(
                 b.total_energy_per_bit, rel=1e-12
@@ -132,7 +140,7 @@ class TestOptimalRoute:
         scheme = ModulationScheme(8)
         target = BerTarget(5e-4)
         args = (NET, FixedPower(0.05), scheme, target, circuit, radio, prop)
-        best = optimal_route_dp(*args)
+        best = optimal_route(*args)
         mask = best.route.active_mask
         for i in range(NET.relay_count):
             if mask >> i & 1:
@@ -164,33 +172,102 @@ class TestOptimalRoute:
         assert first.route == second.route
         assert first.total_energy_per_bit == second.total_energy_per_bit
 
+    def test_exact_ties_keep_the_smallest_predecessor(self, circuit, radio, prop,
+                                                      monkeypatch):
+        # gap costs 1, 2, 3 quarters and 5 for the direct hop: every route
+        # but the direct one costs exactly 1.0, so all seven relay subsets tie
+        net = LinearNetwork(8.0, 3)
+        cost = {1: 0.25, 2: 0.5, 3: 0.75, 4: 5.0}
+        table = {
+            gap: LinkMetrics(p_link=0.0, energy_per_bit=c, delay=c, pt_dbm=0.0,
+                             pmin_dbm=0.0, gamma_b_bar=0.0)
+            for gap, c in cost.items()
+        }
+
+        def fake_link_metrics(distance_m, *args, **kwargs):
+            return table[round(distance_m / net.spacing_m)]
+
+        monkeypatch.setattr(mqamlink.network, "link_metrics", fake_link_metrics)
+        for objective in ("energy", "delay"):
+            best = optimal_route(
+                net, FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
+                circuit, radio, prop, objective=objective,
+            )
+            # the destination keeps predecessor 1 (relay 0), which reaches
+            # it at cost 1.0 before relays 1 and 2 tie it
+            assert best.route == Route(0b001)
+            assert best.route.mask_string(3) == "100"
+            assert best.total_energy_per_bit == 1.0
+            assert best.route == exhaustive_route(table, 3, objective).route
+
+    def test_hops_inside_far_field_are_skipped(self, circuit, radio, prop):
+        # spacing 0.5 m < d0 = 1 m: no route may take a one-gap hop
+        net = LinearNetwork(5.0, 9)
+        args = (net, FixedPower(0.1), ModulationScheme(10), BerTarget(1e-4),
+                circuit, radio, prop)
+        best = optimal_route(*args)
+        assert min(route_hops(best.route, net)) >= prop.d0_m
+        assert best.route == oracle_route(*args).route
+        with pytest.raises(UnreachableLinkError):
+            route_cost(Route(1), *args)
+
+    def test_saturated_direct_hop_is_routed_around(self, circuit, radio, prop):
+        # the 2 km direct hop's outage rounds to 1 at 5 mW; 200 m hops do not
+        net = LinearNetwork(2000.0, 9)
+        args = (net, FixedPower(0.005), ModulationScheme(2), BerTarget(1e-4),
+                circuit, radio, prop)
+        with pytest.raises(UnreachableLinkError):
+            route_cost(Route(0), *args)
+        best = optimal_route(*args)
+        assert best.route == Route(2**9 - 1)
+        assert all(hop.p_link < 1.0 for hop in best.per_hop)
+        assert best.route == oracle_route(*args).route
+
+    def test_no_usable_route_raises(self, circuit, radio, prop):
+        with pytest.raises(UnreachableLinkError, match="no usable route"):
+            optimal_route(
+                LinearNetwork(0.5, 0), FixedPower(0.1), ModulationScheme(2),
+                BerTarget(1e-4), circuit, radio, prop,
+            )
+
+    def test_largest_network_searches(self, circuit, radio, prop):
+        net = LinearNetwork(300.0, MAX_RELAYS)
+        best = optimal_route(
+            net, FixedPower(0.1), ModulationScheme(6), BerTarget(1e-4),
+            circuit, radio, prop,
+        )
+        assert sum(route_hops(best.route, net)) == pytest.approx(300.0, rel=1e-12)
+
 
 class TestJointOptimize:
+    """The joint (b, P_t) optimum, searched by `sweep.run_joint`."""
+
+    @staticmethod
+    def plan(b_grid, pt_grid_w):
+        return SweepPlan(kind="joint", b_grid=b_grid, pt_grid_w=pt_grid_w, ber_grid=(1e-4,))
+
     def test_degenerate_grid_reduces_to_optimal_route(self, circuit, radio, prop):
-        target = BerTarget(1e-4)
-        b, pt, result = joint_optimize(
-            NET, [0.05], [6], target, circuit, radio, prop
-        )
-        assert (b, pt) == (6, 0.05)
+        _, best = run_joint(self.plan((6,), (0.05,)), NET, circuit, radio, prop)
+        assert (best.b, best.pt_mw) == (6, 50.0)
         direct = optimal_route(
-            NET, FixedPower(0.05), ModulationScheme(6), target, circuit, radio, prop
+            NET, FixedPower(0.05), ModulationScheme(6), BerTarget(1e-4),
+            circuit, radio, prop,
         )
-        assert result.total_energy_per_bit == direct.total_energy_per_bit
-        assert result.route == direct.route
+        assert best.energy_j_per_bit == direct.total_energy_per_bit
+        assert best.route_mask == direct.route.mask_string(NET.relay_count)
 
     def test_larger_grid_never_increases_minimum(self, circuit, radio, prop):
-        target = BerTarget(1e-4)
-        small = joint_optimize(NET, [0.025, 0.05], [4, 6], target, circuit, radio, prop)
-        large = joint_optimize(
-            NET, [0.01, 0.025, 0.05, 0.1], [2, 4, 6, 8], target, circuit, radio, prop
+        _, small = run_joint(self.plan((4, 6), (0.025, 0.05)), NET, circuit, radio, prop)
+        _, large = run_joint(
+            self.plan((2, 4, 6, 8), (0.01, 0.025, 0.05, 0.1)), NET, circuit, radio, prop
         )
-        assert (
-            large[2].total_energy_per_bit <= small[2].total_energy_per_bit
-        )
+        assert large.energy_j_per_bit <= small.energy_j_per_bit
 
-    def test_empty_grid_rejected(self, circuit, radio, prop):
+    def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            joint_optimize(NET, [], [2], BerTarget(1e-4), circuit, radio, prop)
+            self.plan((2,), ())
+        with pytest.raises(ValueError):
+            self.plan((), (0.05,))
 
 
 class TestLinearNetworkType:
