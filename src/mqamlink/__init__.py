@@ -39,7 +39,6 @@ from .modulation import (
     ModulationScheme,
     RadioConfig,
     avg_ber,
-    instantaneous_ser,
     min_received_power_watts,
     required_gamma_b,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "avg_ber",
     "required_gamma_b",
     "min_received_power_watts",
-    "instantaneous_ser",
     "LinearNetwork",
     "Route",
     "RouteResult",

@@ -30,6 +30,7 @@ __all__ = [
     "outage_probability",
     "required_pt_dbm",
     "monte_carlo_outage",
+    "monte_carlo_cap_reachable",
     "UnreachableLinkError",
 ]
 
@@ -39,6 +40,9 @@ DEFAULT_CARRIER_HZ = 2.5e9
 # Safety cap on retransmission rounds in the Monte Carlo loop; only
 # reachable when the outage probability is pathologically close to 1.
 _MAX_MC_ROUNDS = 100_000
+# Callers start a simulation only when its chance of hitting that cap is
+# at most this (see monte_carlo_cap_reachable).
+_MC_CAP_RISK = 1e-9
 
 
 class UnreachableLinkError(ValueError):
@@ -143,6 +147,17 @@ def required_pt_dbm(
             f"distance {distance_m} m is inside the far-field reference {params.d0_m} m"
         )
     return pmin_dbm - params.k_db + 10.0 * params.beta * math.log10(distance_m / params.d0_m)
+
+
+def monte_carlo_cap_reachable(p_outage: float, trials: int) -> bool:
+    """Whether `monte_carlo_outage` may exceed its round cap on a link.
+
+    The chance that one of the `trials` packets is still in outage after
+    every capped round is at most trials * p_outage^cap. Deciding from
+    the analytic outage probability, before any draw, lets a caller skip
+    a near-certain-outage link instead of failing after a long simulation.
+    """
+    return trials * p_outage**_MAX_MC_ROUNDS > _MC_CAP_RISK
 
 
 def monte_carlo_outage(

@@ -4,13 +4,16 @@ Subcommands `singlehop`, `multihop`, and `joint` run the corresponding
 sweep and write one CSV per run plus an argmin summary on stdout;
 `validate` cross-checks the analytic outage model against seeded Monte
 Carlo and fails loudly on disagreement. Exit codes: 0 success, 1 config
-error, 2 every grid point infeasible, 3 validation failure.
+error, 2 every grid point infeasible (for `validate`: every link
+skipped as infeasible, unreachable or in near-certain outage),
+3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -19,7 +22,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import ShadowedLink, UnreachableLinkError, monte_carlo_outage
+from .channel import (
+    ShadowedLink,
+    UnreachableLinkError,
+    monte_carlo_cap_reachable,
+    monte_carlo_outage,
+)
 from .config import ConfigError, RunConfig, parse_config
 from .energy import link_metrics
 from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
@@ -149,42 +157,54 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     circuit = config.circuit()
     radio = config.radio()
     policy = config.power_policy()
-    link_seeds = np.random.SeedSequence(seed).generate_state(
-        len(config.b_grid) * len(config.d_grid_m)
-    )
+    links = list(itertools.product(config.b_grid, config.d_grid_m))
+    link_seeds = np.random.SeedSequence(seed).generate_state(len(links))
     failures = 0
-    index = 0
-    for b in config.b_grid:
-        for d in config.d_grid_m:
-            try:
-                metrics = link_metrics(
-                    d, policy, ModulationScheme(b), BerTarget(config.ber_target),
-                    circuit, radio, prop,
-                )
-            except (InfeasibleTargetError, UnreachableLinkError) as exc:
-                reason = "unreachable" if isinstance(exc, UnreachableLinkError) else "infeasible"
-                print(f"link b={b} d_m={_fmt(d)}: SKIP ({reason}: {exc})")
-                index += 1
-                continue
+    skipped = 0
+    for (b, d), link_seed in zip(links, link_seeds):
+        try:
+            metrics = link_metrics(
+                d, policy, ModulationScheme(b), BerTarget(config.ber_target),
+                circuit, radio, prop,
+            )
+        except (InfeasibleTargetError, UnreachableLinkError) as exc:
+            reason = "unreachable" if isinstance(exc, UnreachableLinkError) else "infeasible"
+            skip = f"{reason}: {exc}"
+        else:
             p = metrics.p_link
-            empirical, mean_count = monte_carlo_outage(
-                ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm), prop,
-                trials, int(link_seeds[index]),
-            )
-            index += 1
-            p_bound = 4.0 * math.sqrt(p * (1.0 - p) / trials)
-            expected_count = 1.0 / (1.0 - p)
-            count_bound = 4.0 * math.sqrt(p / trials) / (1.0 - p)
-            ok = abs(empirical - p) <= p_bound and abs(mean_count - expected_count) <= count_bound
-            status = "PASS" if ok else "FAIL"
-            failures += 0 if ok else 1
-            print(
-                f"link b={b} d_m={_fmt(d)}: analytic={p:.6e} empirical={empirical:.6e} "
-                f"mean_count={mean_count:.6f} expected_count={expected_count:.6f} {status}"
-            )
-    total = len(config.b_grid) * len(config.d_grid_m)
-    print(f"validate: {total - failures}/{total} links PASS (trials={trials}, seed={seed})")
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
+            skip = None
+            if monte_carlo_cap_reachable(p, trials):
+                skip = (f"near-certain outage: 1 - p_link = {1.0 - p:.2e}, "
+                        "the simulation could exceed its round cap")
+        if skip is not None:
+            print(f"link b={b} d_m={_fmt(d)}: SKIP ({skip})")
+            skipped += 1
+            continue
+        empirical, mean_count = monte_carlo_outage(
+            ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm), prop, trials, int(link_seed),
+        )
+        p_bound = 4.0 * math.sqrt(p * (1.0 - p) / trials)
+        expected_count = 1.0 / (1.0 - p)
+        count_bound = 4.0 * math.sqrt(p / trials) / (1.0 - p)
+        ok = abs(empirical - p) <= p_bound and abs(mean_count - expected_count) <= count_bound
+        status = "PASS" if ok else "FAIL"
+        failures += 0 if ok else 1
+        print(
+            f"link b={b} d_m={_fmt(d)}: analytic={p:.6e} empirical={empirical:.6e} "
+            f"mean_count={mean_count:.6f} expected_count={expected_count:.6f} {status}"
+        )
+    total = len(links)
+    skip_note = f", {skipped} SKIP" if skipped else ""
+    print(
+        f"validate: {total - failures - skipped}/{total} links PASS{skip_note} "
+        f"(trials={trials}, seed={seed})"
+    )
+    if failures:
+        return EXIT_VALIDATION
+    if skipped == total:
+        print("error: every link was skipped", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def _load_config(path: Optional[str]) -> RunConfig:

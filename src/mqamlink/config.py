@@ -35,6 +35,7 @@ Keys and units:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -149,7 +150,18 @@ class RunConfig:
         )
 
     def validate(self) -> None:
-        """Raise ConfigError naming the offending key on any bad value."""
+        """Raise ConfigError naming the offending key on any bad value.
+
+        Every float, scalar or grid element, must be finite: an infinite
+        distance or a NaN gain would otherwise reach the arithmetic.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(
+                    f"invalid value for key '{f.name}': {value!r} (values must be finite)"
+                )
         checks = [
             ("d0_m", self.d0_m > 0),
             ("beta", self.beta > 0),

@@ -1,11 +1,14 @@
 """Square-MQAM error-rate analytics over Rayleigh fading.
 
-The average bit error rate as a function of the mean bit SNR is computed
-in moment-generating-function form: averaging the two-term AWGN symbol
-error expression over an exponential SNR density collapses each Q-function
-integral into a finite integral of (1 + c/sin^2(phi))^-1. Inverting that
-curve under a BER constraint gives the required mean bit SNR and, from it,
-the minimum average received power.
+The average bit error rate as a function of the mean bit SNR comes from
+the moment-generating-function form: averaging the two-term AWGN symbol
+error expression over an exponential SNR density collapses each
+Q-function integral into a finite integral of (1 + c/sin^2(phi))^-1,
+and both integrals have closed forms in mu = sqrt(c/(1+c)) (Craig 1991;
+Simon & Alouini, MGF chapter). `avg_ber` evaluates them without
+cancellation. Inverting that curve under a BER constraint, by bisection,
+gives the required mean bit SNR and, from it, the minimum average
+received power.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, gaussian_q, integrate, solve_monotone
+# `integrate` is not called here. The name stays importable from this
+# module because the benchmark's trace points (perfbench/spans.py) look up
+# `mqamlink.modulation.integrate` and `mqamlink.modulation.solve_monotone`.
+from .numerics import integrate, solve_monotone  # noqa: F401
 
 __all__ = [
     "ALLOWED_BITS_PER_SYMBOL",
@@ -25,7 +31,6 @@ __all__ = [
     "avg_ber",
     "required_gamma_b",
     "min_received_power_watts",
-    "instantaneous_ser",
 ]
 
 # Square constellations only: even exponent, 2 .. 10 bits per symbol.
@@ -93,38 +98,34 @@ def _mgf_fraction(gamma_b_bar: float, scheme: ModulationScheme) -> float:
     return 3.0 * gamma_b_bar * scheme.b / (2.0 * (m - 1))
 
 
-def avg_ber(
-    gamma_b_bar: float,
-    scheme: ModulationScheme,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def avg_ber(gamma_b_bar: float, scheme: ModulationScheme) -> float:
     """Average BER of square MQAM over Rayleigh fading at mean bit SNR gamma_b_bar.
 
-    Difference of two finite integrals of sin^2(phi)/(sin^2(phi) + c) over
-    [0, pi/2] and [0, pi/4]; the second term is subtracted (it descends
-    from the squared-Q term of the symbol error expression). Strictly
-    decreasing in gamma_b_bar, tending to 0 as the SNR grows.
+    The MGF integrals of sin^2/(sin^2 + c) over [0, pi/2] and [0, pi/4]
+    equal (pi/2)*eps and (pi/4)*eps - mu*atan(eps/(2 - eps)), with
+    mu = sqrt(c/(1+c)) and eps = 1 - mu = 1/((1+c)(1+mu)); the second
+    uses atan(1/mu) = pi/4 + atan(eps/(2 - eps)). No step subtracts
+    nearly equal numbers, so the result is accurate to a few ulps for
+    every finite gamma_b_bar >= 0, and exact at 0: (2a - a^2)/b with
+    a = 1 - 1/sqrt(M). Strictly decreasing, tending to 0 as the SNR grows.
     """
-    if gamma_b_bar < 0:
-        raise ValueError(f"gamma_b_bar must be nonnegative, got {gamma_b_bar}")
+    if not 0.0 <= gamma_b_bar < math.inf:
+        raise ValueError(f"gamma_b_bar must be finite and nonnegative, got {gamma_b_bar}")
     b = scheme.b
     a = 1.0 - 1.0 / math.sqrt(scheme.m)
     c = _mgf_fraction(gamma_b_bar, scheme)
-
-    def integrand(phi: float) -> float:
-        s2 = math.sin(phi) ** 2
-        return s2 / (s2 + c)
-
-    term_half = (4.0 * a / (math.pi * b)) * integrate(integrand, 0.0, math.pi / 2, spec)
-    term_quarter = (4.0 * a * a / (math.pi * b)) * integrate(integrand, 0.0, math.pi / 4, spec)
-    return term_half - term_quarter
+    mu = math.sqrt(c / (1.0 + c))
+    eps = 1.0 / ((1.0 + c) * (1.0 + mu))
+    quarter = eps - (4.0 * mu / math.pi) * math.atan(eps / (2.0 - eps))
+    return (2.0 * a * eps - a * a * quarter) / b
 
 
-@lru_cache(maxsize=None)
-def _required_gamma_b(pb_bar: float, b: int, tol: float, node_count: int) -> float:
+# Bounded so that a caller drawing fresh targets does not grow it without
+# end; a run's grids need at most 25 entries.
+@lru_cache(maxsize=256)
+def _required_gamma_b(pb_bar: float, b: int, tol: float) -> float:
     scheme = ModulationScheme(b)
-    spec = QuadratureSpec(node_count)
-    ceiling = avg_ber(0.0, scheme, spec)
+    ceiling = avg_ber(0.0, scheme)
     if pb_bar >= ceiling:
         if abs(pb_bar - ceiling) <= tol:
             return 0.0
@@ -133,30 +134,29 @@ def _required_gamma_b(pb_bar: float, b: int, tol: float, node_count: int) -> flo
             f"{ceiling} for b = {b}"
         )
     hi = 1.0
-    while avg_ber(hi, scheme, spec) >= pb_bar:
+    while avg_ber(hi, scheme) >= pb_bar:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             raise InfeasibleTargetError(
                 f"could not bracket BER target {pb_bar} for b = {b} below SNR {_BRACKET_CAP}"
             )
-    return solve_monotone(lambda g: avg_ber(g, scheme, spec), pb_bar, 0.0, hi, tol)
+    return solve_monotone(lambda g: avg_ber(g, scheme), pb_bar, 0.0, hi, tol)
 
 
 def required_gamma_b(
     target: BerTarget,
     scheme: ModulationScheme,
     tol: float = DEFAULT_BER_TOL,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> float:
     """Mean bit SNR at which avg_ber meets the target, by monotone bisection.
 
-    The bracket auto-expands upward from 1 by doubling. Results are
-    memoized per (target, constellation, tolerance) pair since they are
-    independent of distance and transmit power.
+    The bracket auto-expands upward from 1 by doubling. The 256 most
+    recent results are memoized per (target, constellation, tolerance),
+    since they are independent of distance and transmit power.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    return _required_gamma_b(target.pb_bar, scheme.b, tol, spec.node_count)
+    return _required_gamma_b(target.pb_bar, scheme.b, tol)
 
 
 def min_received_power_watts(
@@ -167,16 +167,3 @@ def min_received_power_watts(
         raise ValueError(f"gamma_b_bar must be nonnegative, got {gamma_b_bar}")
     return gamma_b_bar * radio.n0_w_per_hz * radio.bandwidth_hz * scheme.b
 
-
-def instantaneous_ser(gamma_s: float, scheme: ModulationScheme) -> float:
-    """AWGN symbol error probability of square MQAM at symbol SNR gamma_s.
-
-    Two-term expression 4*a*Q(z) - 4*a^2*Q(z)^2 with a = 1 - 1/sqrt(M)
-    and z = sqrt(3*gamma_s/(M - 1)). Always in [0, 1).
-    """
-    if gamma_s < 0:
-        raise ValueError(f"gamma_s must be nonnegative, got {gamma_s}")
-    m = scheme.m
-    a = 1.0 - 1.0 / math.sqrt(m)
-    q = gaussian_q(math.sqrt(3.0 * gamma_s / (m - 1)))
-    return 4.0 * a * q - 4.0 * a * a * q * q

@@ -2,8 +2,11 @@
 
 Three self-contained primitives: the Gaussian Q-function, fixed-order
 Gauss-Legendre quadrature on a finite interval, and bisection for
-monotone functions. All are pure functions with no shared mutable
-state, so they are safe to call from any number of concurrent workers.
+monotone functions. The runtime uses the Q-function and bisection; the
+quadrature evaluates the BER integrals in the tests, as the oracle for
+the closed form in `modulation`. All are pure functions with no shared
+mutable state, so they are safe to call from any number of concurrent
+workers.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Each test prints a single `[criterion NN] PASS/FAIL` line (visible with
 `pytest -s`) and asserts at the stated tolerance, with independent
-oracles (closed forms, adaptive quadrature, route enumeration, Monte
-Carlo bounds) computed inside the test.
+oracles (closed forms, Gauss-Legendre and adaptive quadrature, route
+enumeration, Monte Carlo bounds) computed inside the test or taken from
+the oracle modules beside it.
 """
 
 import math
@@ -19,11 +20,10 @@ from mqamlink.modulation import (
     BerTarget,
     ModulationScheme,
     avg_ber,
-    instantaneous_ser,
     required_gamma_b,
 )
 from mqamlink.network import LinearNetwork, optimal_route
-from mqamlink.numerics import integrate
+from ber_oracle import instantaneous_ser, quadrature_avg_ber
 from route_oracle import oracle_route
 
 B_GRID = (2, 4, 6, 8, 10)
@@ -52,26 +52,21 @@ def fixed_multihop_results(circuit, radio, prop, policy):
 
 
 def test_criterion_01_quadrature_matches_closed_forms():
+    # the runtime closed form against the 64-node Gauss-Legendre oracle,
+    # at the MGF coefficients c = 3*gamma*b/(2(M-1)) listed below
     start = time.perf_counter()
     worst = 0.0
     for c in (1e-3, 1e-1, 1.0, 10.0, 1e3):
-        f = lambda phi: math.sin(phi) ** 2 / (math.sin(phi) ** 2 + c)
-        half = integrate(f, 0.0, math.pi / 2)
-        half_closed = (math.pi / 2) * (1.0 - math.sqrt(c / (1.0 + c)))
-        quarter = integrate(f, 0.0, math.pi / 4)
-        quarter_closed = math.pi / 4 - math.sqrt(c / (1.0 + c)) * math.atan(
-            math.sqrt((1.0 + c) / c)
-        )
-        worst = max(
-            worst,
-            abs(half - half_closed) / half_closed,
-            abs(quarter - quarter_closed) / quarter_closed,
-        )
+        for b in B_GRID:
+            scheme = ModulationScheme(b)
+            gamma_b = c * 2.0 * (scheme.m - 1) / (3.0 * b)
+            want = quadrature_avg_ber(gamma_b, scheme)
+            worst = max(worst, abs(avg_ber(gamma_b, scheme) - want) / want)
     elapsed = time.perf_counter() - start
     report(
         1,
         worst <= 1e-9,
-        f"quadrature vs closed forms, worst relative error {worst:.2e} "
+        f"closed-form BER vs quadrature, worst relative error {worst:.2e} "
         f"(tolerance 1e-9, {elapsed * 1e3:.1f} ms)",
     )
 

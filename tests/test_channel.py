@@ -11,6 +11,7 @@ from mqamlink.channel import (
     dbm_to_watts,
     k_db_from_carrier,
     mean_received_power_dbm,
+    monte_carlo_cap_reachable,
     monte_carlo_outage,
     outage_probability,
     required_pt_dbm,
@@ -175,6 +176,14 @@ class TestMonteCarlo:
     def test_zero_trials_rejected(self, prop):
         with pytest.raises(ValueError):
             monte_carlo_outage(ShadowedLink(10.0, 0.0, -80.0), prop, trials=0, seed=0)
+
+    def test_round_cap_reachable_only_near_certain_outage(self):
+        assert not monte_carlo_cap_reachable(0.0, 1_000_000)
+        # the deepest outage of the default validate grid (b = 10, 100 m)
+        assert not monte_carlo_cap_reachable(0.948, 1_000_000)
+        assert not monte_carlo_cap_reachable(0.999, 1_000_000)
+        assert monte_carlo_cap_reachable(1.0 - 8.9e-13, 10_000)
+        assert monte_carlo_cap_reachable(1.0 - 2.5e-5, 10_000)
 
 
 class TestParamValidation:

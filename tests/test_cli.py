@@ -3,6 +3,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,9 +118,29 @@ class TestUnusableHops:
     def test_validate_skips_unreachable_links(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("b_grid = 10\nd_grid_m = 0.5,100\nber_target = 1e-7\ntrials = 10000\n")
+        # every link skipped: nothing was validated, like a sweep with no feasible point
+        assert main(["validate", "--config", str(cfg)]) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        assert captured.out.count("SKIP (unreachable") == 2
+        assert captured.out.endswith(
+            "validate: 0/2 links PASS, 2 SKIP (trials=10000, seed=1)\n"
+        )
+        assert "every link was skipped" in captured.err
+
+    def test_validate_skips_near_certain_outage_before_drawing(self, tmp_path, capsys):
+        # at 50 m the b = 10 link has p_link = 1 - 8.9e-13: a packet would
+        # need about 1e12 attempts, far beyond the simulation's round cap
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("b_grid = 10\nd_grid_m = 5,50\nber_target = 1e-7\ntrials = 10000\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.count("SKIP (unreachable") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("link b=10 d_m=5: analytic=")
+        assert lines[0].endswith(" PASS")
+        assert lines[1] == (
+            "link b=10 d_m=50: SKIP (near-certain outage: 1 - p_link = 8.94e-13, "
+            "the simulation could exceed its round cap)"
+        )
+        assert lines[2] == "validate: 1/2 links PASS, 1 SKIP (trials=10000, seed=1)"
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -169,6 +190,32 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg), "--seed", "6"]) == EXIT_OK
         second = capsys.readouterr().out
         assert first != second
+
+
+class TestNonFiniteConfig:
+    """Non-finite values are config errors, reported in one line before any
+    arithmetic runs."""
+
+    @pytest.mark.parametrize(
+        "command, key, line",
+        [
+            ("singlehop", "k_db", "k_db = nan"),
+            ("singlehop", "k_db", "k_db = inf"),
+            ("multihop", "total_distance_m", "total_distance_m = inf"),
+            ("singlehop", "d_grid_m", "d_grid_m = 5,inf"),
+            ("joint", "pt_grid_mw", "pt_grid_mw = 5,inf"),
+            ("multihop", "t_r_s", "t_r_s = inf"),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, key, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid value for key '{key}'")
+        assert err.count("\n") == 1
 
 
 class TestExitCodes:

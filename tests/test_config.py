@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from mqamlink.config import ConfigError, RunConfig, parse_config, serialize_config
@@ -71,6 +73,15 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")
         assert key in str(err.value)
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)
+                                     if f.type in ("float", "Optional[float]",
+                                                   "tuple[float, ...]")])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_every_float_key_rejects_non_finite(self, key, bad):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {bad}\n")
+        assert f"key '{key}'" in str(err.value)
 
 
 class TestRoundTrip:

@@ -1,17 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mqamlink.modulation as modulation
+from ber_oracle import instantaneous_ser, quadrature_avg_ber
 from mqamlink.modulation import (
     ALLOWED_BITS_PER_SYMBOL,
+    DEFAULT_BER_TOL,
     BerTarget,
     InfeasibleTargetError,
     ModulationScheme,
     RadioConfig,
     avg_ber,
-    instantaneous_ser,
     min_received_power_watts,
     required_gamma_b,
 )
@@ -29,6 +32,25 @@ def closed_form_avg_ber(gamma_b_bar, b):
         i_half = (math.pi / 2) * (1.0 - root)
         i_quarter = math.pi / 4 - root * math.atan(math.sqrt((1.0 + c) / c))
     return (4 * a / (math.pi * b)) * i_half - (4 * a * a / (math.pi * b)) * i_quarter
+
+
+def mpmath_avg_ber(gamma_b_bar, b, integral=False):
+    """Independent oracle at 50 digits: the textbook closed form, whose
+    cancellations cost far fewer digits than that, or (`integral`) the
+    MGF-form definition integrated by mpmath."""
+    with mpmath.workdps(50):
+        m = 2**b
+        a = 1 - 1 / mpmath.sqrt(m)
+        c = mpmath.mpf(3) * gamma_b_bar * b / (2 * (m - 1))
+        if integral:
+            f = lambda phi: mpmath.sin(phi) ** 2 / (mpmath.sin(phi) ** 2 + c)
+            i_half = mpmath.quad(f, [0, mpmath.pi / 2])
+            i_quarter = mpmath.quad(f, [0, mpmath.pi / 4])
+        else:
+            root = mpmath.sqrt(c / (1 + c))
+            i_half = (mpmath.pi / 2) * (1 - root)
+            i_quarter = mpmath.pi / 4 - root * mpmath.acot(root)
+        return (4 * a / (mpmath.pi * b)) * i_half - (4 * a * a / (mpmath.pi * b)) * i_quarter
 
 
 def rayleigh_averaged_ber(gamma_b_bar, scheme):
@@ -94,6 +116,32 @@ class TestAvgBer:
         with pytest.raises(ValueError):
             avg_ber(-0.1, ModulationScheme(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_snr_rejected(self, bad):
+        with pytest.raises(ValueError):
+            avg_ber(bad, ModulationScheme(2))
+
+    @pytest.mark.parametrize("b", ALLOWED_BITS_PER_SYMBOL)
+    def test_matches_mpmath_to_1e_14_relative(self, b):
+        scheme = ModulationScheme(b)
+        worst = 0.0
+        for gamma in np.logspace(-6, 8, 113):
+            want = mpmath_avg_ber(float(gamma), b)
+            worst = max(worst, float(abs(avg_ber(float(gamma), scheme) - want) / want))
+        for gamma in (1e-6, 1.0, 1e8):
+            want = mpmath_avg_ber(gamma, b, integral=True)
+            worst = max(worst, float(abs(avg_ber(gamma, scheme) - want) / want))
+        assert worst <= 1e-14
+
+    def test_zero_snr_ceiling_is_exact(self):
+        for b in ALLOWED_BITS_PER_SYMBOL:
+            a = 1.0 - 1.0 / math.sqrt(2**b)
+            assert avg_ber(0.0, ModulationScheme(b)) == (2.0 * a - a * a) / b
+        assert avg_ber(0.0, ModulationScheme(8)) == 0.12451171875
+
+    def test_returns_builtin_float(self):
+        assert type(avg_ber(10.0, ModulationScheme(4))) is float
+
 
 class TestRequiredGamma:
     def test_reference_target_qpsk(self):
@@ -130,6 +178,26 @@ class TestRequiredGamma:
         # 1024-QAM cannot be that bad even at zero SNR
         with pytest.raises(InfeasibleTargetError):
             required_gamma_b(BerTarget(0.2), ModulationScheme(10))
+
+    def test_bisection_bitwise_equal_under_quadrature_oracle(self, monkeypatch):
+        # The production bracket and bisection run twice, once on the closed
+        # form and once on the 64-node Gauss-Legendre curve; for regular
+        # targets every returned SNR must be the same double, so that the
+        # closed form moves no digit of any inversion.
+        invert = modulation._required_gamma_b.__wrapped__
+        rng = np.random.default_rng(41)
+        cases = [
+            (float(10 ** rng.uniform(-6, -2)), b)
+            for b in ALLOWED_BITS_PER_SYMBOL
+            for _ in range(10)
+        ]
+        closed = [invert(pb, b, DEFAULT_BER_TOL).hex() for pb, b in cases]
+        monkeypatch.setattr(modulation, "avg_ber", quadrature_avg_ber)
+        quadrature = [invert(pb, b, DEFAULT_BER_TOL).hex() for pb, b in cases]
+        assert closed == quadrature
+
+    def test_inversion_cache_is_bounded(self):
+        assert modulation._required_gamma_b.cache_info().maxsize == 256
 
 
 class TestMinReceivedPower:
