@@ -63,14 +63,22 @@ def watts_to_dbm(p_watts: float) -> float:
 def k_db_from_carrier(frequency_hz: float, d0_m: float) -> float:
     """Reference channel gain in dB at the far-field distance d0.
 
-    Equals 20*log10(wavelength / (4*pi*d0)) for the given carrier.
+    Equals 20*log10(wavelength / (4*pi*d0)) for the given carrier. Raises
+    ValueError when that ratio overflows or underflows, so the gain would
+    not be finite.
     """
     if frequency_hz <= 0:
         raise ValueError(f"frequency must be positive, got {frequency_hz}")
     if d0_m <= 0:
         raise ValueError(f"d0 must be positive, got {d0_m}")
     wavelength = SPEED_OF_LIGHT / frequency_hz
-    return 20.0 * math.log10(wavelength / (4.0 * math.pi * d0_m))
+    ratio = wavelength / (4.0 * math.pi * d0_m)
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"frequency {frequency_hz} Hz with d0 {d0_m} m gives a reference gain "
+            "outside the double range"
+        )
+    return 20.0 * math.log10(ratio)
 
 
 @dataclass(frozen=True)
@@ -170,28 +178,42 @@ def monte_carlo_outage(
 
     Each packet redraws an independent shadowing value per attempt until
     the attempt succeeds. Returns (empirical outage probability of the
-    first attempt, mean number of transmissions per packet). Deterministic
-    for a fixed seed.
+    first attempt, mean number of transmissions per packet).
+
+    Only the number of packets still in outage is tracked: a packet's
+    transmission count is the number of rounds it stays active, so the
+    mean count is the sum over rounds of the active size, divided by
+    `trials`, and the first-round outage rate is the first round's
+    failures divided by `trials`. Both sums are integers, exact in
+    float64. Each round draws one standard normal z per active packet and
+    scales it in place to sigma*z; `normal(0, sigma)` computes 0 + sigma*z
+    from the same draws, so each seed keeps its draw stream, and a fixed
+    seed always gives the same result.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     mean_dbm = mean_received_power_dbm(link.pt_dbm, link.distance_m, params)
-    counts = np.zeros(trials, dtype=np.int64)
-    active = np.arange(trials)
-    empirical = 0.0
+    draws = np.empty(trials)
+    failed = np.empty(trials, dtype=bool)
+    active = trials
+    first_failures = 0
+    transmissions = 0
     rounds = 0
-    while active.size:
+    while active:
         rounds += 1
         if rounds > _MAX_MC_ROUNDS:
             raise RuntimeError(
                 f"retransmission simulation exceeded {_MAX_MC_ROUNDS} rounds; "
                 "outage probability is too close to 1"
             )
-        psi_db = rng.normal(0.0, params.sigma_psi_db, size=active.size)
-        failed = (mean_dbm - psi_db) <= link.pmin_dbm
-        counts[active] += 1
+        received_dbm = rng.standard_normal(out=draws[:active])
+        received_dbm *= params.sigma_psi_db
+        np.subtract(mean_dbm, received_dbm, out=received_dbm)
+        transmissions += active
+        active = int(np.count_nonzero(
+            np.less_equal(received_dbm, link.pmin_dbm, out=failed[:active])
+        ))
         if rounds == 1:
-            empirical = float(np.mean(failed))
-        active = active[failed]
-    return empirical, float(np.mean(counts))
+            first_failures = active
+    return first_failures / trials, transmissions / trials

@@ -153,7 +153,9 @@ class RunConfig:
         """Raise ConfigError naming the offending key on any bad value.
 
         Every float, scalar or grid element, must be finite: an infinite
-        distance or a NaN gain would otherwise reach the arithmetic.
+        distance or a NaN gain would otherwise reach the arithmetic. So must
+        the reference gain derived from frequency_hz and the amplifier
+        overhead derived from eta.
         """
         for f in fields(self):
             value = getattr(self, f.name)
@@ -193,6 +195,14 @@ class RunConfig:
                 raise ConfigError(
                     f"invalid value for key '{key}': {getattr(self, key)!r}"
                 )
+        # quantities derived from valid keys can still overflow
+        for key, build in (("frequency_hz", self.propagation), ("eta", self.circuit)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(
+                    f"invalid value for key '{key}': {getattr(self, key)!r} ({exc})"
+                ) from exc
 
 
 _PARSERS = {

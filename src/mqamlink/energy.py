@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    # the peak-to-average factor is below 3 for every M, so a finite 3/eta
+    # keeps every constellation's amplifier overhead finite
+    if not math.isfinite(3.0 / eta):
+        raise ValueError(f"eta {eta} is so small that the amplifier overhead overflows")
+
+
 @dataclass(frozen=True)
 class CircuitProfile:
     """Transceiver circuit parameters (defaults: the reference 2.5 GHz radio)."""
@@ -61,8 +70,7 @@ class CircuitProfile:
         for name in ("pct_w", "pcr_w", "ptr_w", "ttr_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,7 @@ class LinkMetrics:
 
 def amplifier_overhead(scheme: ModulationScheme, eta: float) -> float:
     """Extra amplifier drain per watt radiated: peak-to-average over efficiency, minus 1."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    _check_eta(eta)
     root_m = math.sqrt(scheme.m)
     xi = 3.0 * (root_m - 1.0) / (root_m + 1.0)
     return xi / eta - 1.0

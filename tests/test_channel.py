@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from mc_oracle import oracle_monte_carlo_outage
+from mqamlink import channel
 from mqamlink.channel import (
     SPEED_OF_LIGHT,
     PropagationParams,
@@ -17,6 +19,9 @@ from mqamlink.channel import (
     required_pt_dbm,
     watts_to_dbm,
 )
+from mqamlink.config import RunConfig
+from mqamlink.energy import link_metrics
+from mqamlink.modulation import BerTarget, ModulationScheme
 
 
 class TestConversions:
@@ -54,6 +59,11 @@ class TestKdb:
     @pytest.mark.parametrize("freq,d0", [(0.0, 1.0), (-1e9, 1.0), (1e9, 0.0)])
     def test_nonpositive_inputs_rejected(self, freq, d0):
         with pytest.raises(ValueError):
+            k_db_from_carrier(freq, d0)
+
+    @pytest.mark.parametrize("freq,d0", [(1e-300, 1.0), (2.5e9, 1e308)])
+    def test_gain_outside_double_range_rejected(self, freq, d0):
+        with pytest.raises(ValueError, match="outside the double range"):
             k_db_from_carrier(freq, d0)
 
 
@@ -184,6 +194,62 @@ class TestMonteCarlo:
         assert not monte_carlo_cap_reachable(0.999, 1_000_000)
         assert monte_carlo_cap_reachable(1.0 - 8.9e-13, 10_000)
         assert monte_carlo_cap_reachable(1.0 - 2.5e-5, 10_000)
+
+
+def default_validate_links():
+    """The 25 (b, d) links of default `validate`, with their analytic outage."""
+    config = RunConfig()
+    prop = config.propagation()
+    links = []
+    for b in config.b_grid:
+        for d in config.d_grid_m:
+            m = link_metrics(d, config.power_policy(), ModulationScheme(b),
+                             BerTarget(config.ber_target), config.circuit(),
+                             config.radio(), prop)
+            links.append((ShadowedLink(d, m.pt_dbm, m.pmin_dbm), m.p_link))
+    return prop, links
+
+
+class TestMonteCarloMatchesOracle:
+    """The count-only simulation returns exactly the per-packet oracle's
+    tuple: same draws, same comparisons, same integer sums."""
+
+    def test_default_validate_links(self):
+        prop, links = default_validate_links()
+        assert len(links) == 25
+        outages = [p for _, p in links]
+        assert min(outages) < 1e-40 and 0.94 < max(outages) < 0.95
+        for link, _ in links:
+            for seed in (1, 7, 2**31 - 1):
+                assert (monte_carlo_outage(link, prop, 10_000, seed)
+                        == oracle_monte_carlo_outage(link, prop, 10_000, seed))
+
+    def test_half_outage_link(self, prop):
+        link = ShadowedLink(50.0, 20.0, mean_received_power_dbm(20.0, 50.0, prop))
+        assert outage_probability(link, prop) == 0.5
+        for seed in range(5):
+            assert (monte_carlo_outage(link, prop, 20_000, seed)
+                    == oracle_monte_carlo_outage(link, prop, 20_000, seed))
+
+    def test_single_trial(self):
+        prop, links = default_validate_links()
+        for link, _ in links:
+            for seed in range(20):
+                assert (monte_carlo_outage(link, prop, 1, seed)
+                        == oracle_monte_carlo_outage(link, prop, 1, seed))
+
+    def test_round_cap_raises(self, prop, monkeypatch):
+        mean = mean_received_power_dbm(20.0, 50.0, prop)
+        deep = ShadowedLink(50.0, 20.0, mean + 1.2816 * prop.sigma_psi_db)
+        assert outage_probability(deep, prop) == pytest.approx(0.9, abs=1e-4)
+        monkeypatch.setattr(channel, "_MAX_MC_ROUNDS", 5)
+        for simulate in (monte_carlo_outage, oracle_monte_carlo_outage):
+            with pytest.raises(RuntimeError, match="exceeded 5 rounds"):
+                simulate(deep, prop, 1_000, 0)
+        # a link that always succeeds needs exactly one round
+        monkeypatch.setattr(channel, "_MAX_MC_ROUNDS", 1)
+        clear = ShadowedLink(50.0, 20.0, mean - 40.0)
+        assert monte_carlo_outage(clear, prop, 1_000, 0) == (0.0, 1.0)
 
 
 class TestParamValidation:

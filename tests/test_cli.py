@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main
+from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from mqamlink.config import RunConfig, serialize_config
 from mqamlink.network import MAX_RELAYS
 
@@ -191,10 +191,30 @@ class TestValidate:
         second = capsys.readouterr().out
         assert first != second
 
+    # 40 examples run in a few seconds; a link just short of the round-cap
+    # skip can still need thousands of rounds
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        ber_target=st.floats(1e-6, 0.3),
+        pt_mw=st.floats(1.0, 1e3),
+        d_grid_m=st.lists(st.floats(0.5, 200.0), min_size=1, max_size=3),
+        policy=st.sampled_from(("fixed", "variable")),
+    )
+    def test_never_raises(self, ber_target, pt_mw, d_grid_m, policy):
+        config = replace(
+            RunConfig(), ber_target=ber_target, pt_mw=pt_mw, d_grid_m=tuple(d_grid_m),
+            policy=policy,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.txt"
+            cfg.write_text(serialize_config(config))
+            code = main(["validate", "--config", str(cfg), "--trials", "10000"])
+        assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_VALIDATION)
+
 
 class TestNonFiniteConfig:
-    """Non-finite values are config errors, reported in one line before any
-    arithmetic runs."""
+    """Non-finite values, given or derived from finite keys, are config
+    errors, reported in one line before any arithmetic runs."""
 
     @pytest.mark.parametrize(
         "command, key, line",
@@ -205,6 +225,10 @@ class TestNonFiniteConfig:
             ("singlehop", "d_grid_m", "d_grid_m = 5,inf"),
             ("joint", "pt_grid_mw", "pt_grid_mw = 5,inf"),
             ("multihop", "t_r_s", "t_r_s = inf"),
+            # the reference gain overflows
+            ("singlehop", "frequency_hz", "frequency_hz = 1e-300"),
+            # the amplifier overhead overflows
+            ("singlehop", "eta", "eta = 1e-320"),
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, key, line):

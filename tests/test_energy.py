@@ -40,6 +40,12 @@ class TestAmplifierOverhead:
         with pytest.raises(ValueError):
             amplifier_overhead(ModulationScheme(2), 0.0)
 
+    @pytest.mark.parametrize("eta", [1e-320, 1e-308])
+    def test_overflowing_eta_rejected(self, eta):
+        # 4-QAM's own overhead 1/eta - 1 stays finite at 1e-308; 1024-QAM's does not
+        with pytest.raises(ValueError, match="overflows"):
+            amplifier_overhead(ModulationScheme(2), eta)
+
 
 class TestOnTime:
     def test_reference_values(self, radio):
@@ -214,6 +220,7 @@ class TestCircuitProfile:
             {"ttr_s": 0.0},
             {"eta": 0.0},
             {"eta": 1.5},
+            {"eta": 1e-320},
         ],
     )
     def test_invalid_profiles_rejected(self, kwargs):
