@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gaussian_q
+from .numerics import gaussian_q, require_positive
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -51,7 +51,11 @@ class UnreachableLinkError(ValueError):
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    """Power in watts; inf for a power beyond the double range."""
+    try:
+        return 1e-3 * 10.0 ** (p_dbm / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(p_watts: float) -> float:
@@ -67,10 +71,7 @@ def k_db_from_carrier(frequency_hz: float, d0_m: float) -> float:
     ValueError when that ratio overflows or underflows, so the gain would
     not be finite.
     """
-    if frequency_hz <= 0:
-        raise ValueError(f"frequency must be positive, got {frequency_hz}")
-    if d0_m <= 0:
-        raise ValueError(f"d0 must be positive, got {d0_m}")
+    require_positive(frequency_hz=frequency_hz, d0_m=d0_m)
     wavelength = SPEED_OF_LIGHT / frequency_hz
     ratio = wavelength / (4.0 * math.pi * d0_m)
     if not 0.0 < ratio < math.inf:
@@ -96,12 +97,11 @@ class PropagationParams:
     k_db: float = k_db_from_carrier(DEFAULT_CARRIER_HZ, 1.0)  # gain at d0 (dB)
 
     def __post_init__(self) -> None:
-        if self.d0_m <= 0:
-            raise ValueError(f"d0_m must be positive, got {self.d0_m}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.sigma_psi_db <= 0:
-            raise ValueError(f"sigma_psi_db must be positive, got {self.sigma_psi_db}")
+        # the path loss falls by 10*beta dB per decade of distance
+        require_positive(d0_m=self.d0_m, sigma_psi_db=self.sigma_psi_db,
+                         beta_db_per_decade=10.0 * self.beta)
+        if not math.isfinite(self.k_db):
+            raise ValueError(f"k_db must be finite, got {self.k_db}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,11 @@ class ShadowedLink:
     pmin_dbm: float
 
     def __post_init__(self) -> None:
-        if self.distance_m <= 0:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
+        # checked inline, not through require_positive: every hop evaluation builds one
+        if not 0 < self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be positive and finite, got {self.distance_m}")
+        if not (math.isfinite(self.pt_dbm) and math.isfinite(self.pmin_dbm)):
+            raise ValueError(f"pt_dbm, pmin_dbm must be finite, got {self.pt_dbm, self.pmin_dbm}")
 
 
 def mean_received_power_dbm(
@@ -136,10 +139,15 @@ def outage_probability(link: ShadowedLink, params: PropagationParams) -> float:
     form Q((mean_received - pmin) / sigma) so that deep-margin links do
     not round to exactly zero. The opposite tail saturates: once the
     threshold sits more than about 8 sigma above the mean, the result
-    rounds to exactly 1.0 in double precision.
+    rounds to exactly 1.0 in double precision. A margin that overflows
+    in sigma units (an infinite path loss, or a sigma far below the
+    margin) gives the exact limits 0 and 1.
     """
     mean_dbm = mean_received_power_dbm(link.pt_dbm, link.distance_m, params)
-    return gaussian_q((mean_dbm - link.pmin_dbm) / params.sigma_psi_db)
+    z = (mean_dbm - link.pmin_dbm) / params.sigma_psi_db
+    if math.isinf(z):
+        return 0.0 if z > 0 else 1.0
+    return gaussian_q(z)
 
 
 def required_pt_dbm(

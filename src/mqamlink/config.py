@@ -4,7 +4,8 @@ The format is one `key = value` per line with `#` comments, so configs
 stay trivially parseable and diff-friendly. Every key has a fixed unit
 (documented below); powers are given in mW to match the reference
 parameter table and converted internally. An empty document yields the
-full default configuration.
+full default configuration. The rules on the values live in the domain
+objects built from them.
 
 Keys and units:
     d0_m                reference far-field distance (m)
@@ -41,8 +42,8 @@ from typing import Optional
 
 from .channel import PropagationParams, k_db_from_carrier
 from .energy import CircuitProfile, FixedPower, PowerPolicy, VariablePower
-from .modulation import ALLOWED_BITS_PER_SYMBOL, RadioConfig
-from .network import MAX_RELAYS, LinearNetwork
+from .modulation import ALLOWED_BITS_PER_SYMBOL, BerTarget, RadioConfig
+from .network import LinearNetwork
 from .sweep import SweepPlan
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config"]
@@ -152,57 +153,40 @@ class RunConfig:
     def validate(self) -> None:
         """Raise ConfigError naming the offending key on any bad value.
 
-        Every float, scalar or grid element, must be finite: an infinite
-        distance or a NaN gain would otherwise reach the arithmetic. So must
-        the reference gain derived from frequency_hz and the amplifier
-        overhead derived from eta.
+        Builds every domain object, whose rules include finiteness, and
+        checks only t_r_s and trials itself. The key named is the first,
+        in declaration order, at which the defaults overlaid with this
+        config's values stop building.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            items = value if isinstance(value, tuple) else (value,)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-                raise ConfigError(
-                    f"invalid value for key '{f.name}': {value!r} (values must be finite)"
-                )
-        checks = [
-            ("d0_m", self.d0_m > 0),
-            ("beta", self.beta > 0),
-            ("sigma_psi_db", self.sigma_psi_db > 0),
-            ("frequency_hz", self.frequency_hz > 0),
-            ("pct_mw", self.pct_mw > 0),
-            ("pcr_mw", self.pcr_mw > 0),
-            ("ptr_mw", self.ptr_mw > 0),
-            ("ttr_s", self.ttr_s > 0),
-            ("eta", 0 < self.eta <= 1),
-            ("t_r_s", self.t_r_s is None or self.t_r_s >= 0),
-            ("n0_w_per_hz", self.n0_w_per_hz > 0),
-            ("bandwidth_hz", self.bandwidth_hz > 0),
-            ("packet_bits", self.packet_bits > 0),
-            ("total_distance_m", self.total_distance_m > 0),
-            ("relay_count", 0 <= self.relay_count <= MAX_RELAYS),
-            ("policy", self.policy in ("fixed", "variable")),
-            ("pt_mw", self.pt_mw > 0),
-            ("b_grid", len(self.b_grid) > 0
-             and all(b in ALLOWED_BITS_PER_SYMBOL for b in self.b_grid)),
-            ("d_grid_m", len(self.d_grid_m) > 0 and all(d > 0 for d in self.d_grid_m)),
-            ("pt_grid_mw", len(self.pt_grid_mw) > 0 and all(p > 0 for p in self.pt_grid_mw)),
-            ("ber_target", 0 < self.ber_target < 0.375),
-            ("ber_grid", len(self.ber_grid) > 0 and all(0 < p < 0.375 for p in self.ber_grid)),
-            ("trials", self.trials >= 1),
-        ]
-        for key, ok in checks:
-            if not ok:
-                raise ConfigError(
-                    f"invalid value for key '{key}': {getattr(self, key)!r}"
-                )
-        # quantities derived from valid keys can still overflow
-        for key, build in (("frequency_hz", self.propagation), ("eta", self.circuit)):
-            try:
-                build()
-            except ValueError as exc:
-                raise ConfigError(
-                    f"invalid value for key '{key}': {getattr(self, key)!r} ({exc})"
-                ) from exc
+        try:
+            self._build()
+        except ValueError:
+            values = {}
+            for f in fields(self):
+                values[f.name] = getattr(self, f.name)
+                try:
+                    replace(RunConfig(), **values)._build()
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"invalid value for key '{f.name}': {values[f.name]!r} ({exc})"
+                    ) from exc
+            raise
+
+    def _build(self) -> None:
+        # the carrier must be valid even where k_db overrides the gain it sets
+        k_db_from_carrier(self.frequency_hz, self.d0_m)
+        self.propagation()
+        self.circuit()
+        self.radio()
+        self.network()
+        FixedPower(self.pt_mw * 1e-3)
+        self.plan("multihop")
+        # the single-hop and joint plans differ only in this one-target grid
+        BerTarget(self.ber_target)
+        if not (self.t_r_s is None or 0 <= self.t_r_s < math.inf):
+            raise ValueError(f"t_r_s must be nonnegative and finite, got {self.t_r_s}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 _PARSERS = {

@@ -30,6 +30,7 @@ from .modulation import (
     min_received_power_watts,
     required_gamma_b,
 )
+from .numerics import require_positive
 
 __all__ = [
     "CircuitProfile",
@@ -67,9 +68,8 @@ class CircuitProfile:
     eta: float = 0.35  # amplifier drain efficiency
 
     def __post_init__(self) -> None:
-        for name in ("pct_w", "pcr_w", "ptr_w", "ttr_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        require_positive(pct_w=self.pct_w, pcr_w=self.pcr_w, ptr_w=self.ptr_w,
+                         ttr_s=self.ttr_s)
         _check_eta(self.eta)
 
 
@@ -80,8 +80,7 @@ class FixedPower:
     pt_watts: float
 
     def __post_init__(self) -> None:
-        if self.pt_watts <= 0:
-            raise ValueError(f"pt_watts must be positive, got {self.pt_watts}")
+        require_positive(pt_watts=self.pt_watts)
 
 
 @dataclass(frozen=True)
@@ -175,18 +174,29 @@ def link_metrics(
     threshold, applies the power policy (a variable-power link lands
     exactly on the threshold, so its outage probability is 1/2), and
     folds the outage probability into the retransmission expectations.
-    Raises UnreachableLinkError for a hop shorter than d0 or one whose
-    outage probability rounds to 1.
+    Raises UnreachableLinkError for a hop shorter than d0, one whose
+    outage probability rounds to 1, and one whose receive threshold,
+    transmit power, energy or delay falls outside the double range.
     """
     gamma = required_gamma_b(target, scheme, tol)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
-    pmin_dbm = watts_to_dbm(pmin_w)
+    pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
+    if not math.isfinite(pmin_dbm):
+        raise UnreachableLinkError(
+            f"{distance_m} m hop is unusable: its receive threshold {pmin_w} W "
+            "has no finite dBm value"
+        )
     if isinstance(policy, FixedPower):
         pt_w = policy.pt_watts
         pt_dbm = watts_to_dbm(pt_w)
     else:
         pt_dbm = required_pt_dbm(pmin_dbm, distance_m, prop)
         pt_w = dbm_to_watts(pt_dbm)
+    if not (pt_dbm < math.inf and pt_w < math.inf):
+        raise UnreachableLinkError(
+            f"{distance_m} m hop is unusable: its transmit power {pt_dbm:.6g} dBm "
+            "is beyond the double range"
+        )
     p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
     if p_link >= 1.0:
         raise UnreachableLinkError(
@@ -194,10 +204,17 @@ def link_metrics(
             f"(P_t {pt_dbm:.6g} dBm, threshold {pmin_dbm:.6g} dBm)"
         )
     e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
+    energy = expected_link_energy(e_single, p_link)
+    delay = expected_link_delay(radio, scheme, circuit, p_link, t_r_s)
+    if not (0.0 < energy < math.inf and delay < math.inf):
+        raise UnreachableLinkError(
+            f"{distance_m} m hop is unusable: its expected energy {energy} J/bit "
+            f"or delay {delay} s is outside the double range"
+        )
     return LinkMetrics(
         p_link=p_link,
-        energy_per_bit=expected_link_energy(e_single, p_link),
-        delay=expected_link_delay(radio, scheme, circuit, p_link, t_r_s),
+        energy_per_bit=energy,
+        delay=delay,
         pt_dbm=pt_dbm,
         pmin_dbm=pmin_dbm,
         gamma_b_bar=gamma,

@@ -14,13 +14,14 @@ received power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 # `integrate` is not called here. The name stays importable from this
 # module because the benchmark's trace points (perfbench/spans.py) look up
 # `mqamlink.modulation.integrate` and `mqamlink.modulation.solve_monotone`.
-from .numerics import integrate, solve_monotone  # noqa: F401
+from .numerics import integrate, require_positive, solve_monotone  # noqa: F401
 
 __all__ = [
     "ALLOWED_BITS_PER_SYMBOL",
@@ -84,12 +85,10 @@ class RadioConfig:
     packet_bits: int = 20000  # payload bits per packet
 
     def __post_init__(self) -> None:
-        if self.n0_w_per_hz <= 0:
-            raise ValueError(f"n0_w_per_hz must be positive, got {self.n0_w_per_hz}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be positive, got {self.bandwidth_hz}")
-        if self.packet_bits <= 0:
-            raise ValueError(f"packet_bits must be positive, got {self.packet_bits}")
+        require_positive(n0_w_per_hz=self.n0_w_per_hz, bandwidth_hz=self.bandwidth_hz)
+        # the energy and delay formulas divide by it as a float
+        if not 0 < self.packet_bits <= sys.float_info.max:
+            raise ValueError(f"packet_bits must be positive and fit a float: {self.packet_bits}")
 
 
 def _mgf_fraction(gamma_b_bar: float, scheme: ModulationScheme) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .channel import PropagationParams, UnreachableLinkError
 from .energy import CircuitProfile, LinkMetrics, PowerPolicy, link_metrics
 from .modulation import BerTarget, ModulationScheme, RadioConfig
+from .numerics import require_positive
 
 __all__ = [
     "MAX_RELAYS",
@@ -40,12 +41,11 @@ class LinearNetwork:
     relay_count: int = 9
 
     def __post_init__(self) -> None:
-        if self.total_distance_m <= 0:
-            raise ValueError(f"total_distance_m must be positive, got {self.total_distance_m}")
         if not 0 <= self.relay_count <= MAX_RELAYS:
             raise ValueError(
                 f"relay_count must lie in [0, {MAX_RELAYS}], got {self.relay_count}"
             )
+        require_positive(total_distance_m=self.total_distance_m, spacing_m=self.spacing_m)
 
     @property
     def spacing_m(self) -> float:
@@ -108,6 +108,11 @@ def _assemble(route: Route, net: LinearNetwork, metrics: dict[int, LinkMetrics])
         energy += hop.energy_per_bit
         delay += hop.delay
         per_hop.append(hop)
+    if not (energy < math.inf and delay < math.inf):
+        raise UnreachableLinkError(
+            f"route {route.mask_string(net.relay_count)} is unusable: its total "
+            f"energy {energy} J/bit or delay {delay} s overflows"
+        )
     return RouteResult(route, energy, delay, tuple(per_hop))
 
 
@@ -125,7 +130,7 @@ def route_cost(
     """Expected energy and delay of one route, hop costs summed independently.
 
     Raises UnreachableLinkError when one of the route's hops cannot carry
-    traffic.
+    traffic, or when its total energy or delay overflows.
     """
     if not 0 <= route.active_mask < 2**net.relay_count:
         raise ValueError(
@@ -157,7 +162,8 @@ def optimal_route(
     DAG whose edge (i, j) is one hop of length (j - i) * spacing; additive
     hop costs make the shortest path the cheapest route. A gap whose hop
     cannot carry traffic (shorter than d0, or outage rounding to 1) is no
-    edge. UnreachableLinkError is raised when no route is left.
+    edge. UnreachableLinkError is raised when no route is left, or when
+    the cheapest route's total energy or delay overflows.
 
     Ties: each node scans its predecessors in ascending order and replaces
     the current one only on a strictly smaller cost, so it keeps its

@@ -4,7 +4,8 @@ Three self-contained primitives: the Gaussian Q-function, fixed-order
 Gauss-Legendre quadrature on a finite interval, and bisection for
 monotone functions. The runtime uses the Q-function and bisection; the
 quadrature evaluates the BER integrals in the tests, as the oracle for
-the closed form in `modulation`. All are pure functions with no shared
+the closed form in `modulation`. `require_positive` is the parameter
+check the domain objects share. All are pure functions with no shared
 mutable state, so they are safe to call from any number of concurrent
 workers.
 """
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "BracketError",
+    "require_positive",
     "gaussian_q",
     "integrate",
     "solve_monotone",
@@ -50,6 +52,14 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first value that is not positive and
+    finite; the single comparison also rejects NaN."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @lru_cache(maxsize=None)

@@ -24,6 +24,7 @@ from .energy import (
 )
 from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme, RadioConfig
 from .network import LinearNetwork, optimal_route
+from .numerics import require_positive
 
 __all__ = ["SweepPlan", "SweepRow", "run_singlehop", "run_multihop", "run_joint"]
 
@@ -49,12 +50,16 @@ class SweepPlan:
         # canonical row order: ascending grids regardless of input order
         for name in ("b_grid", "d_grid_m", "pt_grid_w", "ber_grid"):
             object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
-        if not self.b_grid or not self.ber_grid:
-            raise ValueError("b_grid and ber_grid must be nonempty")
-        if self.kind == "singlehop" and not self.d_grid_m:
-            raise ValueError("singlehop sweeps need a nonempty d_grid_m")
-        if self.kind == "joint" and not self.pt_grid_w:
-            raise ValueError("joint sweeps need a nonempty pt_grid_w")
+        if not (self.b_grid and self.d_grid_m and self.pt_grid_w and self.ber_grid):
+            raise ValueError("every grid must be nonempty")
+        for b in self.b_grid:
+            ModulationScheme(b)
+        for pb_bar in self.ber_grid:
+            BerTarget(pb_bar)
+        for pt_w in self.pt_grid_w:
+            FixedPower(pt_w)
+        for d in self.d_grid_m:
+            require_positive(d_grid_m=d)
         if self.kind in ("singlehop", "joint") and len(self.ber_grid) != 1:
             raise ValueError(f"{self.kind} sweeps use exactly one BER target")
 

@@ -1,12 +1,15 @@
 import csv
+import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mqamlink import channel
 from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from mqamlink.config import RunConfig, serialize_config
 from mqamlink.network import MAX_RELAYS
@@ -182,6 +185,40 @@ class TestValidate:
         cfg.write_text("trials = 100\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\ntrials = 10000\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
+        assert main(["validate", "--seed", "-2", "--trials", "10000"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: validate needs seed >= 0, got -1",
+            "error: validate needs seed >= 0, got -2",
+        ]
+
+    def test_subnormal_outage_passes(self, tmp_path, capsys):
+        # p / trials would underflow to 0 and leave a zero-width bound
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k_db = 50\nb_grid = 2\nd_grid_m = 5\ntrials = 10000\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(
+            "link b=2 d_m=5: analytic=1.724289e-321 empirical=0.000000e+00 "
+        )
+
+    def test_round_cap_is_a_failure(self, tmp_path, capsys, monkeypatch):
+        # at a sub-ulp sigma every shadowing draw leaves the received power
+        # at the mean, at or below the threshold: the analytic outage is 1/2,
+        # yet no packet ever gets through
+        monkeypatch.setattr(channel, "_MAX_MC_ROUNDS", 100)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("sigma_psi_db = 1e-300\npolicy = variable\nb_grid = 6\n"
+                       "d_grid_m = 5\ntrials = 10000\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().out.splitlines() == [
+            "link b=6 d_m=5: analytic=5.000000e-01 FAIL (retransmission simulation "
+            "exceeded 100 rounds; outage probability is too close to 1)",
+            "validate: 0/1 links PASS (trials=10000, seed=1)",
+        ]
+
     def test_seed_flag_changes_draws(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("b_grid = 6\nd_grid_m = 90\ntrials = 20000\n")
@@ -254,6 +291,13 @@ class TestExitCodes:
         cfg.write_text("beta = -2\n")
         assert main(["singlehop", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_fixed_power_checked_under_either_policy(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("policy = variable\npt_mw = -1\n")
+        assert main(["singlehop", "--config", str(cfg)]) == EXIT_CONFIG
+        assert main(["singlehop", "--config", str(cfg), "--policy", "fixed"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("invalid value for key 'pt_mw'") == 2
+
     def test_missing_config_file(self, tmp_path):
         assert main(["singlehop", "--config", str(tmp_path / "nope.txt")]) == EXIT_CONFIG
 
@@ -269,3 +313,111 @@ class TestExitCodes:
     def test_unwritable_output(self, tmp_path):
         target = tmp_path / "no_dir" / "out.csv"
         assert main(["singlehop", "--out", str(target)]) == EXIT_CONFIG
+
+
+class TestOverflow:
+    """Finite configs whose hop or route quantities leave the double range
+    give error rows, never inf cells or a traceback."""
+
+    def run(self, tmp_path, command, config_text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text)
+        out = tmp_path / "out.csv"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        return code, read_csv(out) if out.exists() else None
+
+    @pytest.mark.parametrize("config_text", [
+        # on-air time overflows
+        "bandwidth_hz = 1e-305\n",
+        # the receive threshold overflows in watts, then in dBm
+        "n0_w_per_hz = 1e300\n",
+        # the receive threshold underflows to 0 W
+        "n0_w_per_hz = 1e-320\nbandwidth_hz = 1e-10\n",
+    ])
+    def test_every_hop_unusable(self, tmp_path, capsys, config_text):
+        for command in ("singlehop", "multihop", "joint"):
+            code, rows = self.run(tmp_path, command, config_text)
+            assert code == EXIT_INFEASIBLE
+            assert rows is None
+        assert "unusable" in capsys.readouterr().err
+
+    def test_delay_and_route_sums_overflow(self, tmp_path):
+        # multi-hop routes overflow even where each of their hops is finite
+        for command, error_rows in (("singlehop", 3), ("multihop", 3), ("joint", 50)):
+            code, rows = self.run(tmp_path, command, "ttr_s = 1e308\n")
+            assert code == EXIT_OK
+            assert sum(r["delay_s"] == "" for r in rows) == error_rows
+            assert not any(c in ("inf", "nan") for r in rows for c in r.values())
+
+    def test_sub_ulp_shadowing(self, tmp_path):
+        # the margin in sigma units overflows: outage is exactly 0 or 1
+        code, rows = self.run(tmp_path, "singlehop", "sigma_psi_db = 1e-320\n")
+        assert code == EXIT_OK
+        assert {r["p_link"] for r in rows} == {"0", ""}
+
+    def test_infinite_path_loss_slope_is_a_config_error(self, tmp_path, capsys):
+        code, rows = self.run(tmp_path, "singlehop", "beta = 1e308\n")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: invalid value for key 'beta'")
+
+    def test_transmit_power_beyond_double_range(self, tmp_path, capsys):
+        code, rows = self.run(tmp_path, "singlehop", "beta = 1000\npolicy = variable\n")
+        assert code == EXIT_INFEASIBLE
+        assert "beyond the double range" in capsys.readouterr().err
+
+
+def _log_uniform():
+    magnitude = st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
+    # positive values lead, as the only ones that can pass validation
+    return st.one_of(
+        magnitude,
+        st.sampled_from((math.nan, math.inf, -math.inf, 0.0)),
+        magnitude.map(lambda x: -x),
+    )
+
+
+def _integers():
+    big = st.floats(0.0, 308.0).map(lambda e: int(10.0**e))
+    return st.one_of(st.integers(-3, 40), big, big.map(lambda n: -n))
+
+
+_KEY_VALUES = {
+    f.name: {
+        "float": _log_uniform(),
+        "Optional[float]": _log_uniform(),
+        "int": _integers(),
+        "tuple[float, ...]": st.lists(_log_uniform(), min_size=1, max_size=3).map(tuple),
+        "tuple[int, ...]": st.lists(
+            st.one_of(st.sampled_from((2, 4, 6, 8, 10)), _integers()), min_size=1, max_size=3,
+        ).map(tuple),
+        "str": st.sampled_from(("fixed", "variable", "adaptive")),
+    }[f.type]
+    for f in fields(RunConfig)
+    if f.name != "output_path"
+}
+
+
+class TestAnyConfig:
+    """Any config ends in rows or a documented exit code, never in a
+    traceback, and no CSV cell is inf or nan."""
+
+    # The round cap is lowered so that a link whose simulation never ends
+    # fails in milliseconds; the paths taken are those of the full cap.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           keys=st.lists(st.sampled_from(sorted(_KEY_VALUES)), min_size=1, max_size=2,
+                         unique=True))
+    def test_every_subcommand_ends_cleanly(self, data, keys):
+        values = {key: data.draw(_KEY_VALUES[key], label=key) for key in keys}
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(channel, "_MAX_MC_ROUNDS", 1000):
+            cfg = Path(tmp) / "cfg.txt"
+            cfg.write_text(serialize_config(replace(RunConfig(), **values)))
+            for args in (["singlehop"], ["multihop"], ["joint"],
+                         ["validate", "--trials", "10000"]):
+                out = Path(tmp) / f"{args[0]}.csv"
+                code = main([*args, "--config", str(cfg), "--out", str(out)])
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VALIDATION)
+                if out.exists():
+                    cells = [c for row in read_csv(out) for c in row.values()]
+                    assert not any(c in ("inf", "-inf", "nan") for c in cells)

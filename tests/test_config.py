@@ -1,9 +1,19 @@
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import pytest
 
+from mqamlink.channel import PropagationParams, ShadowedLink
 from mqamlink.config import ConfigError, RunConfig, parse_config, serialize_config
-from mqamlink.energy import FixedPower, VariablePower
+from mqamlink.energy import CircuitProfile, FixedPower, VariablePower
+from mqamlink.modulation import BerTarget, RadioConfig
+from mqamlink.network import LinearNetwork
+
+# a valid instance of every domain dataclass with a float field
+DOMAIN_OBJECTS = (
+    PropagationParams(), CircuitProfile(), RadioConfig(), LinearNetwork(),
+    FixedPower(0.1), BerTarget(1e-4), ShadowedLink(50.0, 20.0, -80.0),
+)
 
 
 class TestDefaults:
@@ -57,22 +67,44 @@ class TestParsing:
             parse_config("beta = fast\n")
         assert "beta" in str(err.value)
 
+    # one bad value for every rule on a single key
     @pytest.mark.parametrize(
         "line,key",
         [
+            ("d0_m = -1", "d0_m"),
             ("beta = -1", "beta"),
+            ("sigma_psi_db = 0", "sigma_psi_db"),
+            ("frequency_hz = -2.5e9", "frequency_hz"),
+            ("pct_mw = 0", "pct_mw"),
+            ("pcr_mw = -112.5", "pcr_mw"),
+            ("ptr_mw = 0", "ptr_mw"),
+            ("ttr_s = -5e-6", "ttr_s"),
             ("eta = 1.5", "eta"),
-            ("policy = adaptive", "policy"),
-            ("b_grid = 3,4", "b_grid"),
+            ("t_r_s = -1", "t_r_s"),
+            ("n0_w_per_hz = 0", "n0_w_per_hz"),
+            ("bandwidth_hz = -1e4", "bandwidth_hz"),
+            ("packet_bits = 0", "packet_bits"),
+            ("total_distance_m = 0", "total_distance_m"),
+            ("relay_count = -1", "relay_count"),
             ("relay_count = 31", "relay_count"),
+            ("policy = adaptive", "policy"),
+            ("pt_mw = 0", "pt_mw"),
+            ("b_grid = 3,4", "b_grid"),
+            ("d_grid_m = 5,0", "d_grid_m"),
+            ("pt_grid_mw = 5,-5", "pt_grid_mw"),
             ("ber_target = 0.5", "ber_target"),
+            ("ber_grid = 1e-4,0.375", "ber_grid"),
             ("trials = 0", "trials"),
+            # finite values whose derived quantities overflow
+            ("frequency_hz = 1e-300", "frequency_hz"),
+            ("eta = 1e-320", "eta"),
+            ("d0_m = 1e308", "d0_m"),
         ],
     )
     def test_invariant_violations_name_the_key(self, line, key):
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")
-        assert key in str(err.value)
+        assert str(err.value).startswith(f"invalid value for key '{key}': ")
 
     @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)
                                      if f.type in ("float", "Optional[float]",
@@ -120,3 +152,15 @@ class TestDomainMapping:
         net = parse_config("total_distance_m = 80\nrelay_count = 3\n").network()
         assert net.total_distance_m == 80.0
         assert net.relay_count == 3
+
+
+class TestDomainRules:
+    """The domain objects own the parameter rules, finiteness included."""
+
+    @pytest.mark.parametrize("obj, name", [
+        (obj, f.name) for obj in DOMAIN_OBJECTS for f in fields(obj) if f.type == "float"
+    ], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_fields_reject_non_finite(self, obj, name, bad):
+        with pytest.raises(ValueError, match=name):
+            replace(obj, **{name: bad})

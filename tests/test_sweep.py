@@ -26,6 +26,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SweepPlan(kind="singlehop", b_grid=(), ber_grid=(1e-4,))
 
+    @pytest.mark.parametrize("grid", [
+        {"d_grid_m": ()},  # every grid must be nonempty, whatever the kind
+        {"d_grid_m": (5.0, math.inf)},
+        {"pt_grid_w": (0.05, math.nan)},
+        {"pt_grid_w": (0.05, 0.0)},
+        {"b_grid": (2, 3)},
+        {"ber_grid": (1e-4, 0.4)},
+    ])
+    def test_bad_grid_element(self, grid):
+        with pytest.raises(ValueError):
+            SweepPlan(kind="multihop", **grid)
+
 
 class TestSinglehop:
     def test_row_grid_and_order(self, circuit, radio, prop):
