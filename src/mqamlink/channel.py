@@ -43,6 +43,8 @@ _MAX_MC_ROUNDS = 100_000
 # Callers start a simulation only when its chance of hitting that cap is
 # at most this (see monte_carlo_cap_reachable).
 _MC_CAP_RISK = 1e-9
+# Packets drawn per chunk of a Monte Carlo round: one 128 KiB buffer.
+_MC_CHUNK = 1 << 14
 
 
 class UnreachableLinkError(ValueError):
@@ -197,13 +199,20 @@ def monte_carlo_outage(
     scales it in place to sigma*z; `normal(0, sigma)` computes 0 + sigma*z
     from the same draws, so each seed keeps its draw stream, and a fixed
     seed always gives the same result.
+
+    A round draws its packets in chunks of at most 2^14 through one
+    fixed buffer, so memory stays flat in `trials` and the working set
+    stays in cache. `standard_normal` fills its output sequentially, so
+    the chunked draws are the same stream as one draw per round, bit for
+    bit. The heavy steps release the interpreter lock, so simulations of
+    different links can run on concurrent threads.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     mean_dbm = mean_received_power_dbm(link.pt_dbm, link.distance_m, params)
-    draws = np.empty(trials)
-    failed = np.empty(trials, dtype=bool)
+    draws = np.empty(min(trials, _MC_CHUNK))
+    failed = np.empty(draws.size, dtype=bool)
     active = trials
     first_failures = 0
     transmissions = 0
@@ -215,13 +224,17 @@ def monte_carlo_outage(
                 f"retransmission simulation exceeded {_MAX_MC_ROUNDS} rounds; "
                 "outage probability is too close to 1"
             )
-        received_dbm = rng.standard_normal(out=draws[:active])
-        received_dbm *= params.sigma_psi_db
-        np.subtract(mean_dbm, received_dbm, out=received_dbm)
         transmissions += active
-        active = int(np.count_nonzero(
-            np.less_equal(received_dbm, link.pmin_dbm, out=failed[:active])
-        ))
+        still_failed = 0
+        for start in range(0, active, _MC_CHUNK):
+            size = min(_MC_CHUNK, active - start)
+            received_dbm = rng.standard_normal(out=draws[:size])
+            received_dbm *= params.sigma_psi_db
+            np.subtract(mean_dbm, received_dbm, out=received_dbm)
+            still_failed += int(np.count_nonzero(
+                np.less_equal(received_dbm, link.pmin_dbm, out=failed[:size])
+            ))
+        active = still_failed
         if rounds == 1:
             first_failures = active
     return first_failures / trials, transmissions / trials

@@ -3,10 +3,12 @@
 Subcommands `singlehop`, `multihop`, and `joint` run the corresponding
 sweep and write one CSV per run plus an argmin summary on stdout;
 `validate` cross-checks the analytic outage model against seeded Monte
-Carlo and fails loudly on disagreement. Exit codes: 0 success, 1 config
-error, 2 every grid point infeasible (for `validate`: every link
-skipped as infeasible, unreachable or in near-certain outage),
-3 validation failure (a simulation reaching its round cap included).
+Carlo and fails loudly on disagreement. Its per-link simulations run on
+a thread pool sized to the usable CPUs, and its report is the same for
+any pool size. Exit codes: 0 success, 1 config error, 2 every grid
+point infeasible (for `validate`: every link skipped as infeasible,
+unreachable or in near-certain outage), 3 validation failure (a
+simulation reaching its round cap included).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -147,9 +150,26 @@ def _cmd_joint(config: RunConfig, out_path: str) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     """Monte Carlo check of the analytic outage probability and the
-    geometric retransmission count on every (b, d) grid link."""
+    geometric retransmission count on every (b, d) grid link.
+
+    The analytic side and the SKIP decisions run first, in grid order.
+    The simulations then run on a thread pool, one link per task, the
+    heaviest first; each link has its own seed, so the report, printed
+    in grid order once every simulation is done, does not depend on the
+    number of threads.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 10_000:
         print(f"error: validate needs trials >= 10000, got {trials}", file=sys.stderr)
         return EXIT_CONFIG
@@ -162,9 +182,9 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     policy = config.power_policy()
     links = list(itertools.product(config.b_grid, config.d_grid_m))
     link_seeds = np.random.SeedSequence(seed).generate_state(len(links))
-    failures = 0
-    skipped = 0
-    for (b, d), link_seed in zip(links, link_seeds):
+    skips: dict[int, str] = {}  # grid index -> SKIP reason
+    simulate: dict[int, tuple[float, ShadowedLink]] = {}  # grid index -> (p_link, link)
+    for i, (b, d) in enumerate(links):
         try:
             metrics = link_metrics(
                 d, policy, ModulationScheme(b), BerTarget(config.ber_target),
@@ -172,21 +192,31 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
             )
         except (InfeasibleTargetError, UnreachableLinkError) as exc:
             reason = "unreachable" if isinstance(exc, UnreachableLinkError) else "infeasible"
-            skip = f"{reason}: {exc}"
-        else:
-            p = metrics.p_link
-            skip = None
-            if monte_carlo_cap_reachable(p, trials):
-                skip = (f"near-certain outage: 1 - p_link = {1.0 - p:.2e}, "
+            skips[i] = f"{reason}: {exc}"
+            continue
+        p = metrics.p_link
+        if monte_carlo_cap_reachable(p, trials):
+            skips[i] = (f"near-certain outage: 1 - p_link = {1.0 - p:.2e}, "
                         "the simulation could exceed its round cap")
-        if skip is not None:
-            print(f"link b={b} d_m={_fmt(d)}: SKIP ({skip})")
+        else:
+            simulate[i] = (p, ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm))
+    # a link draws about trials / (1 - p) values: submit the largest p first
+    heaviest_first = sorted(simulate, key=lambda i: simulate[i][0], reverse=True)
+    with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(simulate)))) as pool:
+        futures = {
+            i: pool.submit(monte_carlo_outage, simulate[i][1], prop, trials, int(link_seeds[i]))
+            for i in heaviest_first
+        }
+    failures = 0
+    skipped = 0
+    for i, (b, d) in enumerate(links):
+        if i in skips:
+            print(f"link b={b} d_m={_fmt(d)}: SKIP ({skips[i]})")
             skipped += 1
             continue
+        p = simulate[i][0]
         try:
-            empirical, mean_count = monte_carlo_outage(
-                ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm), prop, trials, int(link_seed),
-            )
+            empirical, mean_count = futures[i].result()
         except RuntimeError as exc:
             # the model ruled the cap out, so the simulation disagrees with it
             print(f"link b={b} d_m={_fmt(d)}: analytic={p:.6e} FAIL ({exc})")

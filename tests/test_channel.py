@@ -231,6 +231,17 @@ class TestMonteCarloMatchesOracle:
             assert (monte_carlo_outage(link, prop, 20_000, seed)
                     == oracle_monte_carlo_outage(link, prop, 20_000, seed))
 
+    @pytest.mark.parametrize("trials", [2 * channel._MC_CHUNK, 3 * channel._MC_CHUNK + 17,
+                                        100_000])
+    def test_rounds_longer_than_one_chunk(self, trials):
+        prop, links = default_validate_links()
+        mean = mean_received_power_dbm(20.0, 50.0, prop)
+        deep = ShadowedLink(50.0, 20.0, mean + 1.6449 * prop.sigma_psi_db)
+        assert outage_probability(deep, prop) == pytest.approx(0.95, abs=1e-4)
+        for link in [deep] + [link for link, _ in links]:
+            assert (monte_carlo_outage(link, prop, trials, 11)
+                    == oracle_monte_carlo_outage(link, prop, trials, 11))
+
     def test_single_trial(self):
         prop, links = default_validate_links()
         for link, _ in links:

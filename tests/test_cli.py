@@ -1,6 +1,9 @@
 import csv
 import math
+import os
+import sys
 import tempfile
+import threading
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqamlink import channel
+from mqamlink import channel, cli
 from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from mqamlink.config import RunConfig, serialize_config
 from mqamlink.network import MAX_RELAYS
@@ -218,6 +221,46 @@ class TestValidate:
             "exceeded 100 rounds; outage probability is too close to 1)",
             "validate: 0/1 links PASS (trials=10000, seed=1)",
         ]
+
+    def test_threads_do_not_change_the_report(self, tmp_path, capsys, monkeypatch):
+        # the default grid plus an unreachable distance; at a 60-round cap the
+        # b = 10 links at 75 and 100 m are near-certain outages, and the
+        # links at 25 m simulate a threshold no packet clears, so they fail
+        # at the cap
+        monkeypatch.setattr(channel, "_MAX_MC_ROUNDS", 60)
+        simulate = cli.monte_carlo_outage
+        threads = set()
+
+        def unclearable_at_25_m(link, prop, trials, seed):
+            threads.add(threading.get_ident())
+            if link.distance_m == 25.0:
+                link = replace(link, pmin_dbm=link.pmin_dbm + 100.0)
+            return simulate(link, prop, trials, seed)
+
+        monkeypatch.setattr(cli, "monte_carlo_outage", unclearable_at_25_m)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("d_grid_m = 0.5,25,50,75,100\ntrials = 10000\n")
+        for seed in ("1", "7", "2024"):
+            reports = []
+            for cpus in ({0}, set(range(8))):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+                threads.clear()
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    code = main(["validate", "--config", str(cfg), "--seed", seed])
+                finally:
+                    sys.setswitchinterval(interval)
+                assert code == EXIT_VALIDATION
+                assert 1 <= len(threads) <= len(cpus)
+                reports.append(capsys.readouterr().out)
+            assert reports[0] == reports[1]
+            lines = reports[0].splitlines()
+            assert sum("SKIP (unreachable" in line for line in lines) == 5
+            assert sum("SKIP (near-certain outage" in line for line in lines) == 2
+            assert sum("FAIL (retransmission simulation exceeded 60 rounds" in line
+                       for line in lines) == 5
+            assert lines[-1] == f"validate: 13/25 links PASS, 7 SKIP (trials=10000, seed={seed})"
 
     def test_seed_flag_changes_draws(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
