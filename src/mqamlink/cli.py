@@ -34,6 +34,7 @@ from .channel import (
 from .config import ConfigError, RunConfig, parse_config
 from .energy import link_metrics
 from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
+from .numerics import binomial_tail, gaussian_q
 from .sweep import SweepRow, run_joint, run_multihop, run_singlehop
 
 __all__ = ["main", "entrypoint"]
@@ -57,6 +58,11 @@ _JOINT_COLUMNS = (
 )
 # CSV columns named differently from the SweepRow field they show
 _COLUMN_FIELDS = {"is_global_min": "is_argmin"}
+# `validate` fails a link whose first-round outage count or retransmission
+# count lies in either tail of its exact distribution beyond this
+# probability: the false-alarm rate, 2 Q(4) per count, that a 4-sigma
+# normal bound intends
+_TAIL_FALSE_ALARM = gaussian_q(4.0)
 
 
 def _fmt(value: object) -> str:
@@ -222,11 +228,19 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
             print(f"link b={b} d_m={_fmt(d)}: analytic={p:.6e} FAIL ({exc})")
             failures += 1
             continue
-        # dividing by trials under the root would flush a subnormal p to 0
-        p_bound = 4.0 * math.sqrt(p * (1.0 - p)) / math.sqrt(trials)
         expected_count = 1.0 / (1.0 - p)
-        count_bound = 4.0 * math.sqrt(p) / math.sqrt(trials) / (1.0 - p)
-        ok = abs(empirical - p) <= p_bound and abs(mean_count - expected_count) <= count_bound
+        # both are ratios of integer counts to trials, exact to well below 0.5
+        first_failures = round(empirical * trials)
+        retransmissions = round(mean_count * trials) - trials
+        # the retransmissions E of `trials` packets are negative binomial:
+        # E >= k exactly when the first trials + k - 1 attempts hold at least
+        # k outages, and E <= k when the first trials + k attempts hold at most k
+        ok = min(
+            binomial_tail(first_failures, trials, p, upper=True),
+            binomial_tail(first_failures, trials, p, upper=False),
+            binomial_tail(retransmissions, trials + retransmissions - 1, p, upper=True),
+            binomial_tail(retransmissions, trials + retransmissions, p, upper=False),
+        ) >= _TAIL_FALSE_ALARM
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
         print(

@@ -1,10 +1,11 @@
 """Numerical kernels shared by the whole toolkit.
 
-Three self-contained primitives: the Gaussian Q-function, fixed-order
-Gauss-Legendre quadrature on a finite interval, and bisection for
-monotone functions. The runtime uses the Q-function and bisection; the
-quadrature evaluates the BER integrals in the tests, as the oracle for
-the closed form in `modulation`. `require_positive` is the parameter
+Four self-contained primitives: the Gaussian Q-function, binomial tail
+probabilities, fixed-order Gauss-Legendre quadrature on a finite
+interval, and bisection for monotone functions. The runtime uses the
+Q-function, the binomial tails and bisection; the quadrature evaluates
+the BER integrals in the tests, as the oracle for the closed form in
+`modulation`. `require_positive` is the parameter
 check the domain objects share. All are pure functions with no shared
 mutable state, so they are safe to call from any number of concurrent
 workers.
@@ -24,6 +25,7 @@ __all__ = [
     "BracketError",
     "require_positive",
     "gaussian_q",
+    "binomial_tail",
     "integrate",
     "solve_monotone",
 ]
@@ -76,6 +78,46 @@ def gaussian_q(z: float) -> float:
     if not math.isfinite(z):
         raise ValueError(f"gaussian_q requires a finite argument, got {z}")
     return 0.5 * math.erfc(z / _SQRT2)
+
+
+def binomial_tail(k: int, n: int, p: float, upper: bool) -> float:
+    """P[X >= k] when `upper`, else P[X <= k], for X ~ Binomial(n, p).
+
+    Sums the probability mass outward from k when that tail lies beyond
+    the mode, where each term is smaller than the last, and otherwise
+    returns 1 minus the opposite tail, which does. The mass at k comes
+    from lgamma, and each further term from the ratio of consecutive
+    masses. A summed tail carries a relative error of about
+    n * log(n) * 1e-16 (below 1e-7 up to n = 1e8), and a complemented
+    tail the same error in absolute terms.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binomial_tail needs 0 <= p <= 1, got {p}")
+    if upper and k <= 0 or not upper and k >= n:
+        return 1.0
+    if upper and k > n or not upper and k < 0:
+        return 0.0
+    if p == 0.0 or p == 1.0:  # X is 0 or n for certain
+        return float(upper == (p == 1.0))
+    mode = math.floor((n + 1) * p)
+    if upper and k <= mode:
+        return 1.0 - binomial_tail(k - 1, n, p, upper=False)
+    if not upper and k >= mode:
+        return 1.0 - binomial_tail(k + 1, n, p, upper=True)
+    odds = p / (1.0 - p)
+    term = math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                    + k * math.log(p) + (n - k) * math.log1p(-p))
+    total = 0.0
+    j = k
+    while term > total * 1e-17:
+        total += term
+        if upper:
+            term *= (n - j) / (j + 1) * odds
+            j += 1
+        else:
+            term *= j / (n - j + 1) / odds
+            j -= 1
+    return total
 
 
 def integrate(

@@ -262,6 +262,29 @@ class TestValidate:
                        for line in lines) == 5
             assert lines[-1] == f"validate: 13/25 links PASS, 7 SKIP (trials=10000, seed={seed})"
 
+    def test_rare_outage_observed_once_passes(self, capsys):
+        # b = 4 at 50 m has p_link = 5.8e-7: at 1e4 trials a single outage
+        # is 1700 sigma out for a normal bound, yet its exact tail is 5.8e-3
+        assert main(["validate", "--trials", "10000", "--seed", "11"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[7] == (
+            "link b=4 d_m=50: analytic=5.826016e-07 empirical=1.000000e-04 "
+            "mean_count=1.000100 expected_count=1.000001 PASS"
+        )
+        assert lines[-1] == "validate: 25/25 links PASS (trials=10000, seed=11)"
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_outage_off_by_two_fails(self, tmp_path, capsys, monkeypatch, factor):
+        # p_link = 0.018 at b = 6, 75 m: about 180 outages in 1e4 first attempts
+        metrics = cli.link_metrics
+        monkeypatch.setattr(cli, "link_metrics", lambda *args: replace(
+            metrics(*args), p_link=factor * metrics(*args).p_link))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("b_grid = 6\nd_grid_m = 75\ntrials = 10000\n")
+        assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("link b=6 d_m=75: analytic=") and line.endswith(" FAIL")
+
     def test_seed_flag_changes_draws(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("b_grid = 6\nd_grid_m = 90\ntrials = 20000\n")

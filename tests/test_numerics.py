@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, nbinom
 
 from mqamlink.numerics import (
     BracketError,
     QuadratureSpec,
+    binomial_tail,
     gaussian_q,
     integrate,
     solve_monotone,
@@ -48,6 +50,56 @@ class TestGaussianQ:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             gaussian_q(bad)
+
+
+def _binomial_cases():
+    """(k, n, p) from the far lower tail to the far upper tail, for small and
+    large n and for p from subnormal to near 1."""
+    for n in (1, 7, 1_000, 100_000, 2_000_000):
+        for p in (1e-320, 1e-9, 3e-4, 0.02, 0.5, 0.948, 1.0 - 1e-6):
+            mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+            ks = {min(n, max(0, round(mean + z * sd))) for z in (-9, -4, -1, 0, 1, 4, 9)}
+            for k in sorted(ks | {0, 1, n}):
+                yield k, n, p
+
+
+class TestBinomialTail:
+    # below 1e-7 relative error up to n = 1e8; 2e-8 covers n = 2e6
+    REL = 2e-8
+
+    def test_matches_scipy_binomial(self):
+        for k, n, p in _binomial_cases():
+            upper, lower = binom.sf(k - 1, n, p), binom.cdf(k, n, p)
+            assert binomial_tail(k, n, p, upper=True) == pytest.approx(
+                upper, rel=self.REL, abs=1e-300)
+            assert binomial_tail(k, n, p, upper=False) == pytest.approx(
+                lower, rel=self.REL, abs=1e-300)
+
+    def test_negative_binomial_identity(self):
+        # failures before the n-th success, success probability 1 - p:
+        # P[E >= k] = P[Binomial(n + k - 1, p) >= k]
+        for n, p in ((10_000, 5.8e-7), (10_000, 0.2), (100_000, 0.948)):
+            mean = n * p / (1.0 - p)
+            for k in sorted({0, 1, 2, round(mean), round(1.3 * mean), round(0.8 * mean)}):
+                at_least = nbinom.sf(k - 1, n, 1.0 - p)
+                at_most = nbinom.cdf(k, n, 1.0 - p)
+                assert binomial_tail(k, n + k - 1, p, upper=True) == pytest.approx(
+                    at_least, rel=self.REL, abs=1e-300)
+                assert binomial_tail(k, n + k, p, upper=False) == pytest.approx(
+                    at_most, rel=self.REL, abs=1e-300)
+
+    def test_edges(self):
+        assert binomial_tail(0, 10, 0.3, upper=True) == 1.0
+        assert binomial_tail(11, 10, 0.3, upper=True) == 0.0
+        assert binomial_tail(10, 10, 0.3, upper=False) == 1.0
+        assert binomial_tail(-1, 10, 0.3, upper=False) == 0.0
+        assert binomial_tail(1, 10, 0.0, upper=True) == 0.0
+        assert binomial_tail(0, 10, 0.0, upper=False) == 1.0
+        assert binomial_tail(10, 10, 1.0, upper=True) == 1.0
+        assert binomial_tail(9, 10, 1.0, upper=False) == 0.0
+        for p in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                binomial_tail(1, 10, p, upper=True)
 
 
 class TestIntegrate:
