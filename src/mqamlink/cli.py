@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import os
 import sys
 from dataclasses import replace
@@ -174,7 +173,7 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     in grid order once every simulation is done, does not depend on the
     number of threads.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor, wait
 
     if trials < 10_000:
         print(f"error: validate needs trials >= 10000, got {trials}", file=sys.stderr)
@@ -213,6 +212,12 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
             i: pool.submit(monte_carlo_outage, simulate[i][1], prop, trials, int(link_seeds[i]))
             for i in heaviest_first
         }
+        try:
+            wait(futures.values())
+        except BaseException:
+            # interrupted: start none of the queued links, finish the running ones
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
     failures = 0
     skipped = 0
     for i, (b, d) in enumerate(links):

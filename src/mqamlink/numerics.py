@@ -5,10 +5,9 @@ probabilities, fixed-order Gauss-Legendre quadrature on a finite
 interval, and bisection for monotone functions. The runtime uses the
 Q-function, the binomial tails and bisection; the quadrature evaluates
 the BER integrals in the tests, as the oracle for the closed form in
-`modulation`. `require_positive` is the parameter
-check the domain objects share. All are pure functions with no shared
-mutable state, so they are safe to call from any number of concurrent
-workers.
+`modulation`. `require_positive` is the parameter check the domain
+objects share. All are pure functions with no shared mutable state, so
+they are safe to call from any number of concurrent workers.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
+import concurrent.futures
 import csv
 import math
 import os
 import sys
 import tempfile
 import threading
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -261,6 +263,27 @@ class TestValidate:
             assert sum("FAIL (retransmission simulation exceeded 60 rounds" in line
                        for line in lines) == 5
             assert lines[-1] == f"validate: 13/25 links PASS, 7 SKIP (trials=10000, seed={seed})"
+
+    def test_interrupt_starts_no_queued_link(self, monkeypatch):
+        # one worker, and an interrupt while the main thread waits: at most
+        # the link already running is simulated, and the interrupt propagates
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        simulate = cli.monte_carlo_outage
+        calls = []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(0.2)
+            return simulate(*args)
+
+        def interrupted(futures):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "monte_carlo_outage", slow)
+        monkeypatch.setattr(concurrent.futures, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["validate", "--trials", "10000"])
+        assert len(calls) <= 1
 
     def test_rare_outage_observed_once_passes(self, capsys):
         # b = 4 at 50 m has p_link = 5.8e-7: at 1e4 trials a single outage
