@@ -287,7 +287,7 @@ class TestValidate:
 
     def test_rare_outage_observed_once_passes(self, capsys):
         # b = 4 at 50 m has p_link = 5.8e-7: at 1e4 trials a single outage
-        # is 1700 sigma out for a normal bound, yet its exact tail is 5.8e-3
+        # is 13 sigma out for a normal bound, yet its exact tail is 5.8e-3
         assert main(["validate", "--trials", "10000", "--seed", "11"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[7] == (
