@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands `singlehop`, `multihop`, and `joint` run the corresponding
-sweep and write one CSV per run plus an argmin summary on stdout;
+Each subcommand is one `_SUBCOMMANDS` entry: its help, its handler and
+its own flags. `singlehop`, `multihop` and `joint` run the corresponding
+sweep and write one CSV per run plus an argmin summary on stdout; `joint`
+sweeps fixed powers, so the variable policy is a config error there.
 `validate` cross-checks the analytic outage model against seeded Monte
 Carlo and fails loudly on disagreement. Its per-link simulations run on
 a thread pool sized to the usable CPUs, and its report is the same for
@@ -20,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .channel import (
     monte_carlo_cap_reachable,
     monte_carlo_outage,
 )
-from .config import ConfigError, RunConfig, parse_config
+from .config import POLICIES, ConfigError, RunConfig, parse_config
 from .energy import link_metrics
 from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
 from .numerics import binomial_tail, gaussian_q
@@ -75,84 +77,88 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _row_cells(row: SweepRow, columns: Sequence[str]) -> list[str]:
-    return [_fmt(getattr(row, _COLUMN_FIELDS.get(name, name))) for name in columns]
-
-
-def _write_csv(path: str, columns: Sequence[str], rows: list[SweepRow]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(_row_cells(row, columns))
-
-
-def _report_errors(rows: list[SweepRow]) -> int:
+def _finish(rows: list[SweepRow], coordinates: Sequence[str], columns: Sequence[str],
+            out_path: str, summary: Iterable[str]) -> int:
+    """The tail of every sweep: name each error row by b, its BER target
+    and its other `coordinates` on stderr; unless every row is one, write
+    the CSV and print the `summary` lines."""
     errors = [r for r in rows if r.error is not None]
     for row in errors:
-        print(f"infeasible grid point b={row.b} ber={_fmt(row.ber_target)}: {row.error}",
+        point = "".join(f" {name}={_fmt(getattr(row, name))}" for name in coordinates)
+        print(f"infeasible grid point b={row.b} ber={_fmt(row.ber_target)}{point}: {row.error}",
               file=sys.stderr)
     if len(errors) == len(rows):
         print("error: every grid point was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    with open(out_path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(getattr(row, _COLUMN_FIELDS.get(name, name))) for name in columns]
+                         for row in rows)
+    for line in summary:
+        print(line)
     return EXIT_OK
 
 
-def _cmd_singlehop(config: RunConfig, out_path: str) -> int:
+def _cmd_singlehop(config: RunConfig, args: argparse.Namespace) -> int:
     rows = run_singlehop(
         config.plan("singlehop"), config.circuit(), config.radio(),
         config.propagation(), t_r_s=config.resolved_t_r_s(),
     )
-    status = _report_errors(rows)
-    if status != EXIT_OK:
-        return status
-    _write_csv(out_path, _SINGLEHOP_COLUMNS, rows)
-    for row in sorted(
-        (r for r in rows if r.is_argmin), key=lambda r: r.d_m
-    ):
-        print(
-            f"singlehop argmin: d_m={_fmt(row.d_m)} b={row.b} "
-            f"energy_dbmj={_fmt(row.energy_dbmj)} delay_s={_fmt(row.delay_s)}"
-        )
-    return EXIT_OK
+    return _finish(rows, ("d_m",), _SINGLEHOP_COLUMNS, config.output_path, (
+        f"singlehop argmin: d_m={_fmt(row.d_m)} b={row.b} "
+        f"energy_dbmj={_fmt(row.energy_dbmj)} delay_s={_fmt(row.delay_s)}"
+        for row in sorted((r for r in rows if r.is_argmin), key=lambda r: r.d_m)
+    ))
 
 
-def _cmd_multihop(config: RunConfig, out_path: str, objective: str) -> int:
+def _cmd_multihop(config: RunConfig, args: argparse.Namespace) -> int:
     rows = run_multihop(
         config.plan("multihop"), config.network(), config.circuit(),
-        config.radio(), config.propagation(), objective=objective,
+        config.radio(), config.propagation(), objective=args.objective,
         t_r_s=config.resolved_t_r_s(),
     )
-    status = _report_errors(rows)
-    if status != EXIT_OK:
-        return status
-    _write_csv(out_path, _MULTIHOP_COLUMNS, rows)
-    for row in rows:
-        if row.is_argmin:
-            print(
-                f"multihop argmin ({objective}): ber={_fmt(row.ber_target)} b={row.b} "
-                f"route={row.route_mask} energy_dbmj={_fmt(row.energy_dbmj)} "
-                f"delay_s={_fmt(row.delay_s)}"
-            )
-    return EXIT_OK
+    return _finish(rows, (), _MULTIHOP_COLUMNS, config.output_path, (
+        f"multihop argmin ({args.objective}): ber={_fmt(row.ber_target)} b={row.b} "
+        f"route={row.route_mask} energy_dbmj={_fmt(row.energy_dbmj)} "
+        f"delay_s={_fmt(row.delay_s)}"
+        for row in rows if row.is_argmin
+    ))
 
 
-def _cmd_joint(config: RunConfig, out_path: str) -> int:
-    rows, best = run_joint(
+def _cmd_joint(config: RunConfig, args: argparse.Namespace) -> int:
+    rows, _ = run_joint(
         config.plan("joint"), config.network(), config.circuit(),
         config.radio(), config.propagation(), t_r_s=config.resolved_t_r_s(),
     )
-    status = _report_errors(rows)
-    if status != EXIT_OK:
-        return status
-    _write_csv(out_path, _JOINT_COLUMNS, rows)
-    assert best is not None
-    print(
-        f"joint global minimum: b={best.b} pt_mw={_fmt(best.pt_mw)} "
-        f"route={best.route_mask} energy_dbmj={_fmt(best.energy_dbmj)} "
-        f"delay_s={_fmt(best.delay_s)}"
+    return _finish(rows, ("pt_mw",), _JOINT_COLUMNS, config.output_path, (
+        f"joint global minimum: b={row.b} pt_mw={_fmt(row.pt_mw)} "
+        f"route={row.route_mask} energy_dbmj={_fmt(row.energy_dbmj)} "
+        f"delay_s={_fmt(row.delay_s)}"
+        for row in rows if row.is_argmin
+    ))
+
+
+def _counts_agree(p: float, trials: int, first_failures: int, retransmissions: int) -> bool:
+    """Whether neither count lies in a tail of its exact distribution
+    beyond _TAIL_FALSE_ALARM.
+
+    The retransmissions E of `trials` packets are negative binomial: E >= k
+    exactly when the first trials + k - 1 attempts hold at least k
+    outages, and E <= k when the first trials + k attempts hold at most k.
+    A tail P[X >= k] with k <= n p, or P[X <= k] with k >= n p, holds the
+    binomial's median, so it is at least 1/2 and is not summed.
+    """
+    return all(
+        binomial_tail(k, n, p, upper) >= _TAIL_FALSE_ALARM
+        for k, n, upper in (
+            (first_failures, trials, True),
+            (first_failures, trials, False),
+            (retransmissions, trials + retransmissions - 1, True),
+            (retransmissions, trials + retransmissions, False),
+        )
+        if (k > n * p if upper else k < n * p)
     )
-    return EXIT_OK
 
 
 def _usable_cpus() -> int:
@@ -163,7 +169,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
+def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     """Monte Carlo check of the analytic outage probability and the
     geometric retransmission count on every (b, d) grid link.
 
@@ -175,6 +181,7 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     """
     from concurrent.futures import ThreadPoolExecutor, wait
 
+    trials, seed = config.trials, config.seed
     if trials < 10_000:
         print(f"error: validate needs trials >= 10000, got {trials}", file=sys.stderr)
         return EXIT_CONFIG
@@ -237,15 +244,7 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
         # both are ratios of integer counts to trials, exact to well below 0.5
         first_failures = round(empirical * trials)
         retransmissions = round(mean_count * trials) - trials
-        # the retransmissions E of `trials` packets are negative binomial:
-        # E >= k exactly when the first trials + k - 1 attempts hold at least
-        # k outages, and E <= k when the first trials + k attempts hold at most k
-        ok = min(
-            binomial_tail(first_failures, trials, p, upper=True),
-            binomial_tail(first_failures, trials, p, upper=False),
-            binomial_tail(retransmissions, trials + retransmissions - 1, p, upper=True),
-            binomial_tail(retransmissions, trials + retransmissions, p, upper=False),
-        ) >= _TAIL_FALSE_ALARM
+        ok = _counts_agree(p, trials, first_failures, retransmissions)
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
         print(
@@ -266,34 +265,37 @@ def _cmd_validate(config: RunConfig, trials: int, seed: int) -> int:
     return EXIT_OK
 
 
+# name: (help, handler, flags beyond those every subcommand takes)
+_SUBCOMMANDS = {
+    "singlehop": ("energy per bit over the (b, distance) grid", _cmd_singlehop, {}),
+    "multihop": ("optimal-route energy/delay over the (BER, b) grid", _cmd_multihop, {
+        "--objective": dict(choices=("energy", "delay"), default="energy",
+                            help="route-selection objective"),
+    }),
+    "joint": ("optimal-route energy over the (b, transmit power) grid", _cmd_joint, {}),
+    "validate": ("Monte Carlo check of the outage model", _cmd_validate, {
+        "--trials": dict(type=int, help="Monte Carlo packets per link"),
+    }),
+}
+# flags that override a config key
+_FLAG_KEYS = {"out": "output_path", "seed": "seed", "policy": "policy", "trials": "trials"}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mqamlink",
         description="Link-energy sweeps and routing optimization for square-MQAM radios.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("singlehop", "energy per bit over the (b, distance) grid"),
-        ("multihop", "optimal-route energy/delay over the (BER, b) grid"),
-        ("joint", "optimal-route energy over the (b, transmit power) grid"),
-        ("validate", "Monte Carlo check of the outage model"),
-    ):
+    for name, (help_text, handler, flags) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", help="path to a key = value config file")
         cmd.add_argument("--out", help="CSV output path (overrides output_path)")
         cmd.add_argument("--seed", type=int, help="RNG seed (overrides seed)")
-        cmd.add_argument(
-            "--policy", choices=("fixed", "variable"), help="transmit power policy"
-        )
-        if name == "multihop":
-            cmd.add_argument(
-                "--objective", choices=("energy", "delay"), default="energy",
-                help="route-selection objective",
-            )
-        if name == "validate":
-            cmd.add_argument(
-                "--trials", type=int, help="Monte Carlo packets per link"
-            )
+        cmd.add_argument("--policy", choices=POLICIES, help="transmit power policy")
+        for flag, options in flags.items():
+            cmd.add_argument(flag, **options)
     return parser
 
 
@@ -304,27 +306,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # validity does not depend on the policy, and the seed is checked where it is used
-    if args.policy is not None:
-        config = replace(config, policy=args.policy)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-
-    out_path = args.out if args.out is not None else config.output_path
+    # validity does not depend on these keys; `validate` checks seed and trials
+    flags = vars(args)
+    config = replace(config, **{key: flags[flag] for flag, key in _FLAG_KEYS.items()
+                                if flags.get(flag) is not None})
     try:
-        if args.command == "singlehop":
-            return _cmd_singlehop(config, out_path)
-        if args.command == "multihop":
-            return _cmd_multihop(config, out_path, args.objective)
-        if args.command == "joint":
-            return _cmd_joint(config, out_path)
-        if args.command == "validate":
-            trials = args.trials if args.trials is not None else config.trials
-            return _cmd_validate(config, trials, config.seed)
+        return args.handler(config, args)
+    except ConfigError as exc:  # a key the subcommand cannot honour
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entrypoint() -> None:

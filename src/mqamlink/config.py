@@ -1,8 +1,9 @@
 """Run configuration: flat key/value documents with reference defaults.
 
 The format is one `key = value` per line with `#` comments, so configs
-stay trivially parseable and diff-friendly. Every key has a fixed unit
-(documented below); powers are given in mW to match the reference
+stay trivially parseable and diff-friendly. Each key is a `RunConfig`
+field, whose declared type picks the key's parser, and has the fixed
+unit listed below; powers are given in mW to match the reference
 parameter table and converted internally. An empty document yields the
 full default configuration. The rules on the values live in the domain
 objects built from them.
@@ -22,7 +23,7 @@ Keys and units:
     packet_bits         payload bits per packet
     total_distance_m    source-destination span (m)
     relay_count         equally spaced intermediate relays
-    policy              fixed | variable
+    policy              fixed | variable (joint sweeps fixed powers only)
     pt_mw               fixed-policy transmit power (mW)
     b_grid              comma-separated constellation exponents
     d_grid_m            comma-separated single-hop distances (m)
@@ -46,19 +47,14 @@ from .modulation import ALLOWED_BITS_PER_SYMBOL, BerTarget, RadioConfig
 from .network import LinearNetwork
 from .sweep import SweepPlan
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config"]
+__all__ = ["POLICIES", "ConfigError", "RunConfig", "parse_config", "serialize_config"]
+
+# the values of the `policy` key
+POLICIES = ("fixed", "variable")
 
 
 class ConfigError(ValueError):
     """Malformed document, unknown key, or invariant violation."""
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -130,13 +126,14 @@ class RunConfig:
         )
 
     def power_policy(self) -> PowerPolicy:
-        if self.policy == "fixed":
-            return FixedPower(self.pt_mw * 1e-3)
-        if self.policy == "variable":
-            return VariablePower()
-        raise ConfigError(f"policy must be 'fixed' or 'variable', got {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        return FixedPower(self.pt_mw * 1e-3) if self.policy == "fixed" else VariablePower()
 
     def plan(self, kind: str) -> SweepPlan:
+        if kind == "joint" and self.policy != "fixed":
+            raise ConfigError(f"joint sweeps fixed powers over pt_grid_mw; "
+                              f"policy {self.policy!r} does not apply")
         if kind == "multihop":
             ber_grid = self.ber_grid
         else:
@@ -189,34 +186,16 @@ class RunConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
-_PARSERS = {
-    "d0_m": float,
-    "beta": float,
-    "sigma_psi_db": float,
-    "frequency_hz": float,
-    "k_db": float,
-    "pct_mw": float,
-    "pcr_mw": float,
-    "ptr_mw": float,
-    "ttr_s": float,
-    "eta": float,
-    "t_r_s": float,
-    "n0_w_per_hz": float,
-    "bandwidth_hz": float,
-    "packet_bits": int,
-    "total_distance_m": float,
-    "relay_count": int,
-    "policy": str,
-    "pt_mw": float,
-    "b_grid": _int_list,
-    "d_grid_m": _float_list,
-    "pt_grid_mw": _float_list,
-    "ber_target": float,
-    "ber_grid": _float_list,
-    "trials": int,
-    "seed": int,
-    "output_path": str,
+# parser of each field's declared type: one declaration per key
+_TYPE_PARSERS = {
+    "float": float,
+    "Optional[float]": float,
+    "int": int,
+    "str": str,
+    "tuple[int, ...]": lambda text: tuple(int(part) for part in text.split(",")),
+    "tuple[float, ...]": lambda text: tuple(float(part) for part in text.split(",")),
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:

@@ -23,7 +23,6 @@ from .channel import (
     watts_to_dbm,
 )
 from .modulation import (
-    DEFAULT_BER_TOL,
     BerTarget,
     ModulationScheme,
     RadioConfig,
@@ -165,7 +164,6 @@ def link_metrics(
     circuit: CircuitProfile,
     radio: RadioConfig,
     prop: PropagationParams,
-    tol: float = DEFAULT_BER_TOL,
     t_r_s: float | None = None,
 ) -> LinkMetrics:
     """Full per-hop pipeline from BER constraint to expected energy and delay.
@@ -178,7 +176,7 @@ def link_metrics(
     outage probability rounds to 1, and one whose receive threshold,
     transmit power, energy or delay falls outside the double range.
     """
-    gamma = required_gamma_b(target, scheme, tol)
+    gamma = required_gamma_b(target, scheme)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
     pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
     if not math.isfinite(pmin_dbm):

@@ -122,11 +122,11 @@ def avg_ber(gamma_b_bar: float, scheme: ModulationScheme) -> float:
 # Bounded so that a caller drawing fresh targets does not grow it without
 # end; a run's grids need at most 25 entries.
 @lru_cache(maxsize=256)
-def _required_gamma_b(pb_bar: float, b: int, tol: float) -> float:
+def _required_gamma_b(pb_bar: float, b: int) -> float:
     scheme = ModulationScheme(b)
     ceiling = avg_ber(0.0, scheme)
     if pb_bar >= ceiling:
-        if abs(pb_bar - ceiling) <= tol:
+        if abs(pb_bar - ceiling) <= DEFAULT_BER_TOL:
             return 0.0
         raise InfeasibleTargetError(
             f"BER target {pb_bar} is at or above the zero-SNR ceiling "
@@ -139,23 +139,18 @@ def _required_gamma_b(pb_bar: float, b: int, tol: float) -> float:
             raise InfeasibleTargetError(
                 f"could not bracket BER target {pb_bar} for b = {b} below SNR {_BRACKET_CAP}"
             )
-    return solve_monotone(lambda g: avg_ber(g, scheme), pb_bar, 0.0, hi, tol)
+    return solve_monotone(lambda g: avg_ber(g, scheme), pb_bar, 0.0, hi, DEFAULT_BER_TOL)
 
 
-def required_gamma_b(
-    target: BerTarget,
-    scheme: ModulationScheme,
-    tol: float = DEFAULT_BER_TOL,
-) -> float:
+def required_gamma_b(target: BerTarget, scheme: ModulationScheme) -> float:
     """Mean bit SNR at which avg_ber meets the target, by monotone bisection.
 
-    The bracket auto-expands upward from 1 by doubling. The 256 most
-    recent results are memoized per (target, constellation, tolerance),
-    since they are independent of distance and transmit power.
+    The bracket auto-expands upward from 1 by doubling, and bisection
+    stops at an absolute BER residual of DEFAULT_BER_TOL, the only
+    tolerance. The 256 most recent results are memoized per (target,
+    constellation), since they are independent of distance and power.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    return _required_gamma_b(target.pb_bar, scheme.b, tol)
+    return _required_gamma_b(target.pb_bar, scheme.b)
 
 
 def min_received_power_watts(

@@ -213,9 +213,12 @@ def run_joint(
 ) -> tuple[list[SweepRow], Optional[SweepRow]]:
     """Optimal-route energy surface over (b, pt); returns rows plus the
     global-minimum row (None when every grid point is infeasible). Ties
-    go to the smaller b, then the smaller pt."""
+    go to the smaller b, then the smaller pt. The powers come from the
+    plan's pt_grid_w, so its policy must be a FixedPower."""
     if plan.kind != "joint":
         raise ValueError(f"plan kind must be 'joint', got {plan.kind!r}")
+    if not isinstance(plan.policy, FixedPower):
+        raise ValueError(f"joint sweeps fixed powers over pt_grid_w, not {plan.policy}")
     pb_bar = plan.ber_grid[0]
     rows = [
         _route_row(

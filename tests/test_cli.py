@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import random
 import sys
 import tempfile
 import threading
@@ -15,9 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqamlink import channel, cli
+from mqamlink.channel import ShadowedLink, monte_carlo_outage
 from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
-from mqamlink.config import RunConfig, serialize_config
+from mqamlink.config import POLICIES, RunConfig, serialize_config
+from mqamlink.energy import link_metrics
+from mqamlink.modulation import BerTarget, ModulationScheme
 from mqamlink.network import MAX_RELAYS
+from mqamlink.numerics import binomial_tail
 
 
 def read_csv(path):
@@ -88,6 +93,49 @@ class TestJoint:
         assert winners[0]["b"] == "4" and winners[0]["pt_mw"] == "25"
         out_text = capsys.readouterr().out
         assert "joint global minimum: b=4 pt_mw=25" in out_text
+
+    @pytest.mark.parametrize("config_text, flags", [
+        ("", ["--policy", "variable"]),
+        ("policy = variable\n", []),
+    ])
+    def test_variable_policy_is_a_config_error(self, tmp_path, capsys, config_text, flags):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text)
+        out = tmp_path / "joint.csv"
+        assert main(["joint", "--config", str(cfg), "--out", str(out), *flags]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: joint sweeps fixed powers over pt_grid_mw; "
+            "policy 'variable' does not apply\n"
+        )
+
+    def test_fixed_flag_overrides_variable_config(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("policy = variable\nb_grid = 4\npt_grid_mw = 25\n")
+        out = tmp_path / "joint.csv"
+        args = ["joint", "--config", str(cfg), "--out", str(out), "--policy", "fixed"]
+        assert main(args) == EXIT_OK
+        assert len(read_csv(out)) == 1
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["singlehop", "multihop", "joint", "validate"])
+    def test_policy_choices_are_the_config_policies(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "{" + ",".join(POLICIES) + "}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--policy", "adaptive"])
+        assert exit_info.value.code == 2
+
+    def test_subcommand_flags(self, capsys):
+        # --objective belongs to multihop and --trials to validate alone
+        for command, flag, value in (("singlehop", "--objective", "delay"),
+                                     ("joint", "--trials", "10000")):
+            with pytest.raises(SystemExit):
+                main([command, flag, value])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestUnusableHops:
@@ -338,6 +386,69 @@ class TestValidate:
         assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_VALIDATION)
 
 
+def _full_verdict(p, trials, first_failures, retransmissions):
+    """All four tails of `validate`'s verdict, none skipped."""
+    return min(
+        binomial_tail(first_failures, trials, p, upper=True),
+        binomial_tail(first_failures, trials, p, upper=False),
+        binomial_tail(retransmissions, trials + retransmissions - 1, p, upper=True),
+        binomial_tail(retransmissions, trials + retransmissions, p, upper=False),
+    ) >= cli._TAIL_FALSE_ALARM
+
+
+class TestVerdictShortcut:
+    """`validate` skips the tails that hold the binomial's median; the
+    verdict is the one all four tails give."""
+
+    def test_default_links(self):
+        config = RunConfig()
+        prop = config.propagation()
+        links = []
+        for b in config.b_grid:
+            for d in config.d_grid_m:
+                m = link_metrics(d, config.power_policy(), ModulationScheme(b),
+                                 BerTarget(config.ber_target), config.circuit(),
+                                 config.radio(), prop)
+                links.append((m.p_link, ShadowedLink(d, m.pt_dbm, m.pmin_dbm)))
+        trials = 10_000
+        for seed in range(200):
+            for p, link in links:
+                empirical, mean_count = monte_carlo_outage(link, prop, trials, seed)
+                counts = (round(empirical * trials), round(mean_count * trials) - trials)
+                assert cli._counts_agree(p, trials, *counts) == _full_verdict(p, trials, *counts)
+
+    def test_random_counts(self):
+        # counts up to 8 standard deviations from their means, so that
+        # both verdicts occur
+        rng = random.Random(20)
+
+        def near(mean, sd):
+            return max(0, round(mean + rng.uniform(-8.0, 8.0) * sd))
+
+        verdicts = []
+        for _ in range(1000):
+            trials = int(10.0 ** rng.uniform(4.0, 6.5))
+            p = 10.0 ** rng.uniform(-9.0, -1e-3)
+            first_failures = near(trials * p, math.sqrt(trials * p * (1.0 - p)))
+            retransmissions = near(trials * p / (1.0 - p), math.sqrt(trials * p) / (1.0 - p))
+            verdict = _full_verdict(p, trials, first_failures, retransmissions)
+            assert cli._counts_agree(p, trials, first_failures, retransmissions) == verdict
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_median_tails_are_not_summed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "binomial_tail", lambda *args: calls.append(args) or 1.0)
+        # 5000 first-round outages in 1e4 at p = 1/2 sit at the mean, so
+        # neither tail is summed; of the retransmission tails only the upper
+        # one, over 19999 attempts (mean 9999.5 < 10000), misses the median
+        assert cli._counts_agree(0.5, 10_000, 5_000, 10_000)
+        assert calls == [(10_000, 19_999, 0.5, True)]
+        calls.clear()
+        assert cli._counts_agree(0.5, 10_000, 4_000, 9_000)
+        assert calls == [(4_000, 10_000, 0.5, False), (9_000, 19_000, 0.5, False)]
+
+
 class TestNonFiniteConfig:
     """Non-finite values, given or derived from finite keys, are config
     errors, reported in one line before any arithmetic runs."""
@@ -437,6 +548,22 @@ class TestOverflow:
             assert code == EXIT_OK
             assert sum(r["delay_s"] == "" for r in rows) == error_rows
             assert not any(c in ("inf", "nan") for r in rows for c in r.values())
+
+    def test_error_lines_name_the_grid_point(self, tmp_path, capsys):
+        # b and the BER target, plus d_m for singlehop and pt_mw for joint
+        for command, point in (
+            ("singlehop", lambda r: f"b={r['b']} ber=0.0001 d_m={r['d_m']}"),
+            ("multihop", lambda r: f"b={r['b']} ber={r['ber_target']}"),
+            ("joint", lambda r: f"b={r['b']} ber={r['ber_target']} pt_mw={r['pt_mw']}"),
+        ):
+            code, rows = self.run(tmp_path, command, "ttr_s = 1e308\n")
+            assert code == EXIT_OK
+            lines = capsys.readouterr().err.splitlines()
+            assert [line.split(": ", 1)[0] for line in lines] == [
+                f"infeasible grid point {point(r)}" for r in rows if r["delay_s"] == ""
+            ]
+        # every joint error line names its own (b, pt_mw) point
+        assert len(set(lines)) == len(lines) == 50
 
     def test_sub_ulp_shadowing(self, tmp_path):
         # the margin in sigma units overflows: outage is exactly 0 or 1

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from mqamlink.channel import PropagationParams, ShadowedLink
-from mqamlink.config import ConfigError, RunConfig, parse_config, serialize_config
+from mqamlink.config import POLICIES, ConfigError, RunConfig, parse_config, serialize_config
 from mqamlink.energy import CircuitProfile, FixedPower, VariablePower
 from mqamlink.modulation import BerTarget, RadioConfig
 from mqamlink.network import LinearNetwork
@@ -44,6 +44,19 @@ class TestParsing:
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\nbeta = 3.5  # trailing comment\n"
         assert parse_config(text).beta == 3.5
+
+    def test_every_field_is_a_key(self):
+        # each field, the optional ones included, is a key parsed by its declared type
+        config = replace(RunConfig(), k_db=-39.0, t_r_s=1e-3)
+        text = serialize_config(config)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == [
+            f.name for f in fields(RunConfig)
+        ]
+        parsed = parse_config(text)
+        assert parsed == config
+        assert [type(getattr(parsed, f.name)) for f in fields(RunConfig)] == [
+            type(getattr(config, f.name)) for f in fields(RunConfig)
+        ]
 
     def test_lists(self):
         config = parse_config("b_grid = 2,4\nd_grid_m = 10,20,30\n")
@@ -137,6 +150,14 @@ class TestDomainMapping:
     def test_policy_objects(self):
         assert parse_config("policy = fixed\npt_mw = 50\n").power_policy() == FixedPower(0.05)
         assert parse_config("policy = variable\n").power_policy() == VariablePower()
+
+    def test_every_policy_name_builds(self):
+        assert [type(parse_config(f"policy = {name}\n").power_policy()) for name in POLICIES] \
+            == [FixedPower, VariablePower]
+
+    def test_joint_plan_needs_fixed_policy(self):
+        with pytest.raises(ConfigError, match="joint sweeps fixed powers over pt_grid_mw"):
+            parse_config("policy = variable\n").plan("joint")
 
     def test_circuit_unit_conversion(self):
         circuit = parse_config("pct_mw = 98.2\n").circuit()

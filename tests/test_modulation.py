@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath
@@ -7,9 +8,9 @@ from scipy.integrate import quad
 
 import mqamlink.modulation as modulation
 from ber_oracle import instantaneous_ser, quadrature_avg_ber
+from mqamlink.energy import link_metrics
 from mqamlink.modulation import (
     ALLOWED_BITS_PER_SYMBOL,
-    DEFAULT_BER_TOL,
     BerTarget,
     InfeasibleTargetError,
     ModulationScheme,
@@ -191,13 +192,18 @@ class TestRequiredGamma:
             for b in ALLOWED_BITS_PER_SYMBOL
             for _ in range(10)
         ]
-        closed = [invert(pb, b, DEFAULT_BER_TOL).hex() for pb, b in cases]
+        closed = [invert(pb, b).hex() for pb, b in cases]
         monkeypatch.setattr(modulation, "avg_ber", quadrature_avg_ber)
-        quadrature = [invert(pb, b, DEFAULT_BER_TOL).hex() for pb, b in cases]
+        quadrature = [invert(pb, b).hex() for pb, b in cases]
         assert closed == quadrature
 
     def test_inversion_cache_is_bounded(self):
         assert modulation._required_gamma_b.cache_info().maxsize == 256
+
+    def test_one_tolerance(self):
+        # the inversion has no tolerance parameter: DEFAULT_BER_TOL is the only one
+        assert list(inspect.signature(required_gamma_b).parameters) == ["target", "scheme"]
+        assert "tol" not in inspect.signature(link_metrics).parameters
 
 
 class TestMinReceivedPower:

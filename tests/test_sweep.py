@@ -151,3 +151,8 @@ class TestJoint:
         rows, best = run_joint(plan, NET, circuit, radio, prop)
         assert len(rows) == 1
         assert best is rows[0]
+
+    def test_variable_policy_refused(self, circuit, radio, prop):
+        plan = SweepPlan(kind="joint", ber_grid=(1e-4,), policy=VariablePower())
+        with pytest.raises(ValueError, match="joint sweeps fixed powers over pt_grid_w"):
+            run_joint(plan, NET, circuit, radio, prop)
