@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import threading
@@ -136,6 +137,26 @@ class TestFlags:
             with pytest.raises(SystemExit):
                 main([command, flag, value])
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # a flag given to one call must not become a default of the next
+        runs = (["multihop", "--objective", "delay"], ["multihop"],
+                ["singlehop", "--policy", "variable"], ["singlehop"])
+        in_process = []
+        for args in runs:
+            out = tmp_path / "in_process.csv"
+            code = main([*args, "--out", str(out)])
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err, out.read_bytes()))
+            out.unlink()
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+        for args, result in zip(runs, in_process):
+            out = tmp_path / "fresh.csv"
+            fresh = subprocess.run([sys.executable, "-m", "mqamlink", *args, "--out", str(out)],
+                                   capture_output=True, text=True, env=env, timeout=60)
+            assert result == (fresh.returncode, fresh.stdout, fresh.stderr, out.read_bytes())
+            out.unlink()
 
 
 class TestUnusableHops:
@@ -580,6 +601,126 @@ class TestOverflow:
         code, rows = self.run(tmp_path, "singlehop", "beta = 1000\npolicy = variable\n")
         assert code == EXIT_INFEASIBLE
         assert "beyond the double range" in capsys.readouterr().err
+
+
+_NO_ROUTE = ("no usable route across {} m with {} relays: every route has a hop that cannot"
+             " carry traffic")
+_ALL_INFEASIBLE = "error: every grid point was infeasible"
+
+
+class TestRouteSearchErrors:
+    """The stderr of `multihop` and `joint` wherever the route search has
+    no answer, byte for byte. A "no usable route" line quotes the direct
+    hop's error, at the distance (N + 1) * spacing, which need not print
+    as the span."""
+
+    GRIDS = {"multihop": "ber_grid = 1e-4\n", "joint": "pt_grid_mw = 5,100\n"}
+    CASES = {
+        "gap_inside_d0": (
+            "total_distance_m = 0.9\nrelay_count = 2\nb_grid = 2\n", EXIT_INFEASIBLE, {
+                "multihop": [
+                    "infeasible grid point b=2 ber=0.0001: " + _NO_ROUTE.format(0.9, 2)
+                    + " (distance 0.8999999999999999 m is inside the far-field reference"
+                    " 1.0 m)",
+                    _ALL_INFEASIBLE,
+                ],
+                "joint": [
+                    f"infeasible grid point b=2 ber=0.0001 pt_mw={pt}: "
+                    + _NO_ROUTE.format(0.9, 2)
+                    + " (distance 0.8999999999999999 m is inside the far-field reference"
+                    " 1.0 m)"
+                    for pt in (5, 100)
+                ] + [_ALL_INFEASIBLE],
+            }),
+        "saturated_direct_hop": (
+            "total_distance_m = 2000\nrelay_count = 1\npt_mw = 5\nb_grid = 2,4\n", EXIT_OK, {
+                "multihop": [
+                    "infeasible grid point b=4 ber=0.0001: " + _NO_ROUTE.format(2000.0, 1)
+                    + " (2000.0 m hop is unusable: its outage probability rounds to 1"
+                    " (P_t 6.9897 dBm, threshold -91.8878 dBm))",
+                ],
+                "joint": [
+                    "infeasible grid point b=4 ber=0.0001 pt_mw=5: "
+                    + _NO_ROUTE.format(2000.0, 1)
+                    + " (2000.0 m hop is unusable: its outage probability rounds to 1"
+                    " (P_t 6.9897 dBm, threshold -91.8878 dBm))",
+                ],
+            }),
+        "no_usable_route": (
+            "total_distance_m = 0.5\nrelay_count = 0\nb_grid = 2\n", EXIT_INFEASIBLE, {
+                "multihop": [
+                    "infeasible grid point b=2 ber=0.0001: " + _NO_ROUTE.format(0.5, 0)
+                    + " (distance 0.5 m is inside the far-field reference 1.0 m)",
+                    _ALL_INFEASIBLE,
+                ],
+                "joint": [
+                    f"infeasible grid point b=2 ber=0.0001 pt_mw={pt}: "
+                    + _NO_ROUTE.format(0.5, 0)
+                    + " (distance 0.5 m is inside the far-field reference 1.0 m)"
+                    for pt in (5, 100)
+                ] + [_ALL_INFEASIBLE],
+            }),
+        # b = 4 meets the target at zero SNR: a 0 W threshold
+        "nonfinite_threshold": (
+            "total_distance_m = 29\nrelay_count = 6\nb_grid = 2,4\n"
+            "ber_target = 0.234375\nber_grid = 0.234375\n", EXIT_OK, {
+                "multihop": [
+                    "infeasible grid point b=4 ber=0.234375: " + _NO_ROUTE.format(29.0, 6)
+                    + " (29.000000000000004 m hop is unusable: its receive threshold 0.0 W"
+                    " has no finite dBm value)",
+                ],
+                "joint": [
+                    f"infeasible grid point b=4 ber=0.234375 pt_mw={pt}: "
+                    + _NO_ROUTE.format(29.0, 6)
+                    + " (29.000000000000004 m hop is unusable: its receive threshold 0.0 W"
+                    " has no finite dBm value)"
+                    for pt in (5, 100)
+                ],
+            }),
+        # every hop is finite; the delays of a multi-hop route sum to inf
+        "ttr_s_1e308": (
+            "ttr_s = 1e308\nb_grid = 4,6,8\n", EXIT_OK, {
+                "multihop": [
+                    "infeasible grid point b=8 ber=0.0001: route 000010000 is unusable: its"
+                    " total energy 1.0138461675621808e+303 J/bit or delay inf s overflows",
+                ],
+                "joint": [
+                    "infeasible grid point b=4 ber=0.0001 pt_mw=5: route 000010000 is"
+                    " unusable: its total energy 1.0813842982313674e+303 J/bit or delay inf s"
+                    " overflows",
+                    "infeasible grid point b=6 ber=0.0001 pt_mw=5: route 001001000 is"
+                    " unusable: its total energy 1.6376766038078598e+303 J/bit or delay inf s"
+                    " overflows",
+                    "infeasible grid point b=8 ber=0.0001 pt_mw=5: route 010100100 is"
+                    " unusable: its total energy 2.3954795561336068e+303 J/bit or delay inf s"
+                    " overflows",
+                    "infeasible grid point b=8 ber=0.0001 pt_mw=100: route 000010000 is"
+                    " unusable: its total energy 1.0138461675621808e+303 J/bit or delay inf s"
+                    " overflows",
+                ],
+            }),
+        # variable policy only: joint sweeps fixed powers
+        "transmit_power_overflow": (
+            "beta = 1000\npolicy = variable\nrelay_count = 2\nb_grid = 2\n", EXIT_INFEASIBLE, {
+                "multihop": [
+                    "infeasible grid point b=2 ber=0.0001: " + _NO_ROUTE.format(100.0, 2)
+                    + " (100.0 m hop is unusable: its transmit power 19943 dBm is beyond the"
+                    " double range)",
+                    _ALL_INFEASIBLE,
+                ],
+            }),
+    }
+
+    @pytest.mark.parametrize("case, command", [
+        (case, command) for case, (_, _, lines) in CASES.items() for command in lines
+    ])
+    def test_stderr_is_pinned(self, tmp_path, capsys, case, command):
+        config_text, code, lines = self.CASES[case]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.GRIDS[command] + config_text)
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == lines[command]
 
 
 def _log_uniform():
