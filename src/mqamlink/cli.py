@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import os
 import sys
@@ -281,6 +282,9 @@ _SUBCOMMANDS = {
 _FLAG_KEYS = {"out": "output_path", "seed": "seed", "policy": "policy", "trials": "trials"}
 
 
+# Built once per process: parsing leaves no state in the parser, and the
+# handlers it names still look the traced functions up at call time.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mqamlink",

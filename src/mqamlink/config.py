@@ -50,7 +50,7 @@ from .sweep import SweepPlan
 __all__ = ["POLICIES", "ConfigError", "RunConfig", "parse_config", "serialize_config"]
 
 # the values of the `policy` key
-POLICIES = ("fixed", "variable")
+POLICIES = (FixedPower.name, VariablePower.name)
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,7 @@ class RunConfig:
     packet_bits: int = 20000
     total_distance_m: float = 100.0
     relay_count: int = 9
-    policy: str = "fixed"
+    policy: str = FixedPower.name
     pt_mw: float = 100.0
     b_grid: tuple[int, ...] = ALLOWED_BITS_PER_SYMBOL
     d_grid_m: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 100.0)
@@ -128,10 +128,10 @@ class RunConfig:
     def power_policy(self) -> PowerPolicy:
         if self.policy not in POLICIES:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        return FixedPower(self.pt_mw * 1e-3) if self.policy == "fixed" else VariablePower()
+        return FixedPower(self.pt_mw * 1e-3) if self.policy == FixedPower.name else VariablePower()
 
     def plan(self, kind: str) -> SweepPlan:
-        if kind == "joint" and self.policy != "fixed":
+        if kind == "joint" and self.policy != FixedPower.name:
             raise ConfigError(f"joint sweeps fixed powers over pt_grid_mw; "
                               f"policy {self.policy!r} does not apply")
         if kind == "multihop":

@@ -4,16 +4,26 @@ Between a source and a destination sit N relays, each either forwarding
 or sleeping; a route is the bitmask of forwarding relays, giving 2^N
 candidates. Route cost is the sum of independent per-hop costs that
 depend only on the hop's index gap, so the cheapest route is a shortest
-path over the N+2 nodes, found in O(N^2) from N+1 link evaluations.
+path over the N+2 nodes (`shortest_route`), found in O(N^2) from one
+receive threshold and N+1 hop evaluations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .channel import PropagationParams, UnreachableLinkError
-from .energy import CircuitProfile, LinkMetrics, PowerPolicy, link_metrics
+from .energy import (
+    CircuitProfile,
+    LinkMetrics,
+    PowerPolicy,
+    hop_costs,
+    hop_unusable,
+    link_metrics,
+    threshold,
+)
 from .modulation import BerTarget, ModulationScheme, RadioConfig
 from .numerics import require_positive
 
@@ -24,13 +34,14 @@ __all__ = [
     "RouteResult",
     "route_hops",
     "route_cost",
+    "shortest_route",
     "optimal_route",
 ]
 
 MAX_RELAYS = 30
 
-# route objective -> the per-hop LinkMetrics field it sums
-_HOP_COST_FIELD = {"energy": "energy_per_bit", "delay": "delay"}
+# route objective -> the place in a `hop_costs` tuple of the figure it sums
+_HOP_COST_INDEX = {"energy": 1, "delay": 2}
 
 
 @dataclass(frozen=True)
@@ -145,6 +156,47 @@ def route_cost(
     return _assemble(route, net, metrics)
 
 
+def shortest_route(n_nodes: int, edge_cost: Callable[[int, int], float]) -> Route | None:
+    """Cheapest path from node 0 to node n_nodes - 1 over the edges (i, j),
+    i < j, each costing edge_cost(i, j), as the Route through its inner
+    nodes (node k is relay k - 1); None when every path has an infinite
+    edge. O(n_nodes^2) calls of edge_cost.
+
+    Ties: each node scans its predecessors in ascending order and replaces
+    the current one only on a strictly smaller cost, so it keeps its
+    smallest cheapest predecessor. In exact arithmetic that picks the
+    smallest mask among equal-cost routes. Permutations of the same hop
+    gaps cost the same exactly but are summed in different orders: float
+    rounding can then split their partial sums at an intermediate node,
+    and the pick can differ from the smallest mask at an equal total.
+    """
+    dist = [math.inf] * n_nodes
+    pred = [-1] * n_nodes
+    dist[0] = 0.0
+    for j in range(1, n_nodes):
+        best, best_i = math.inf, -1
+        for i in range(j):
+            candidate = dist[i] + edge_cost(i, j)
+            if candidate < best:
+                best, best_i = candidate, i
+        dist[j], pred[j] = best, best_i
+    if pred[-1] < 0:
+        return None
+    mask = 0
+    node = pred[-1]
+    while node != 0:
+        mask |= 1 << (node - 1)
+        node = pred[node]
+    return Route(mask)
+
+
+def _no_route(net: LinearNetwork, cause: UnreachableLinkError) -> UnreachableLinkError:
+    return UnreachableLinkError(
+        f"no usable route across {net.total_distance_m} m with {net.relay_count} "
+        f"relays: every route has a hop that cannot carry traffic ({cause})"
+    )
+
+
 def optimal_route(
     net: LinearNetwork,
     policy: PowerPolicy,
@@ -160,55 +212,40 @@ def optimal_route(
 
     Nodes along the line (source 0, relays 1..N, destination N+1) form a
     DAG whose edge (i, j) is one hop of length (j - i) * spacing; additive
-    hop costs make the shortest path the cheapest route. A gap whose hop
-    cannot carry traffic (shorter than d0, or outage rounding to 1) is no
-    edge. UnreachableLinkError is raised when no route is left, or when
-    the cheapest route's total energy or delay overflows.
-
-    Ties: each node scans its predecessors in ascending order and replaces
-    the current one only on a strictly smaller cost, so it keeps its
-    smallest cheapest predecessor. In exact arithmetic that picks the
-    smallest mask among equal-cost routes. Permutations of the same hop
-    gaps cost the same exactly but are summed in different orders: float
-    rounding can then split their partial sums at an intermediate node,
-    and the pick can differ from the smallest mask at an equal total.
+    hop costs make the shortest path the cheapest route, with the tie rule
+    of `shortest_route`. The receive threshold is resolved once and each
+    of the N + 1 hop lengths evaluated once. A gap whose hop cannot carry
+    traffic (shorter than d0, or outage rounding to 1) is no edge.
+    UnreachableLinkError is raised when no route is left, quoting the
+    direct hop's error, or when the cheapest route's total energy or delay
+    overflows.
     """
-    if objective not in _HOP_COST_FIELD:
+    if objective not in _HOP_COST_INDEX:
         raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
-    metrics: dict[int, LinkMetrics] = {}
+    try:
+        gamma, pmin_dbm = threshold(scheme, target, radio)
+    except UnreachableLinkError as exc:
+        # no hop is usable at this threshold, the direct one included
+        raise _no_route(net, hop_unusable((n_nodes - 1) * net.spacing_m, exc)) from exc
+    cost = hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)
+    index = _HOP_COST_INDEX[objective]
+    costs: dict[int, tuple[float, float, float, float]] = {}
     hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
     unreachable: UnreachableLinkError | None = None
     for gap in range(1, n_nodes):
         try:
-            m = link_metrics(
-                gap * net.spacing_m, policy, scheme, target, circuit, radio, prop,
-                t_r_s=t_r_s,
-            )
+            costs[gap] = cost(gap * net.spacing_m)
         except UnreachableLinkError as exc:
             unreachable = exc
             continue
-        metrics[gap] = m
-        hop_cost[gap] = getattr(m, _HOP_COST_FIELD[objective])
-    dist = [math.inf] * n_nodes
-    pred = [-1] * n_nodes
-    dist[0] = 0.0
-    for j in range(1, n_nodes):
-        for i in range(j):
-            candidate = dist[i] + hop_cost[j - i]
-            if candidate < dist[j]:
-                dist[j] = candidate
-                pred[j] = i
-    if pred[-1] < 0:
+        hop_cost[gap] = costs[gap][index]
+    route = shortest_route(n_nodes, lambda i, j: hop_cost[j - i])
+    if route is None:
         # the direct hop is then unusable too, and it was the last one tried
-        raise UnreachableLinkError(
-            f"no usable route across {net.total_distance_m} m with {net.relay_count} "
-            f"relays: every route has a hop that cannot carry traffic ({unreachable})"
-        )
-    nodes = [n_nodes - 1]
-    while nodes[-1] != 0:
-        nodes.append(pred[nodes[-1]])
-    mask = 0
-    for node in nodes[1:-1]:
-        mask |= 1 << (node - 1)
-    return _assemble(Route(mask), net, metrics)
+        raise _no_route(net, unreachable)
+    metrics = {
+        gap: LinkMetrics(*costs[gap], pmin_dbm, gamma)
+        for gap in set(_hop_gaps(route.active_mask, net.relay_count))
+    }
+    return _assemble(route, net, metrics)

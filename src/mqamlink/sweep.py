@@ -85,10 +85,6 @@ class SweepRow:
     error: Optional[str] = None
 
 
-def _policy_name(policy: PowerPolicy) -> str:
-    return "fixed" if isinstance(policy, FixedPower) else "variable"
-
-
 def _flag_argmin(groups, key) -> list[SweepRow]:
     """Mark, within each group of rows, the row minimizing key (errors
     excluded); return the marked rows."""
@@ -156,7 +152,7 @@ def run_singlehop(
     groups: dict[float, list[SweepRow]] = {}
     for b in plan.b_grid:
         for d in plan.d_grid_m:
-            row = SweepRow(policy=_policy_name(plan.policy), b=b, ber_target=pb_bar, d_m=d)
+            row = SweepRow(policy=plan.policy.name, b=b, ber_target=pb_bar, d_m=d)
             m = _evaluate(row, lambda: link_metrics(
                 d, plan.policy, ModulationScheme(b), BerTarget(pb_bar),
                 circuit, radio, prop, t_r_s=t_r_s,
@@ -193,7 +189,7 @@ def run_multihop(
     for pb_bar in plan.ber_grid:
         for b in plan.b_grid:
             row = _route_row(
-                SweepRow(policy=_policy_name(plan.policy), b=b, ber_target=pb_bar, pt_mw=pt_mw),
+                SweepRow(policy=plan.policy.name, b=b, ber_target=pb_bar, pt_mw=pt_mw),
                 net, plan.policy, circuit, radio, prop, objective, t_r_s,
             )
             rows.append(row)
@@ -222,7 +218,7 @@ def run_joint(
     pb_bar = plan.ber_grid[0]
     rows = [
         _route_row(
-            SweepRow(policy="fixed", b=b, ber_target=pb_bar, pt_mw=pt_w * 1e3),
+            SweepRow(policy=FixedPower.name, b=b, ber_target=pb_bar, pt_mw=pt_w * 1e3),
             net, FixedPower(pt_w), circuit, radio, prop, "energy", t_r_s,
         )
         for b in plan.b_grid

@@ -1,22 +1,41 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from mqamlink.channel import UnreachableLinkError, dbm_to_watts
+from mqamlink.channel import (
+    PropagationParams,
+    ShadowedLink,
+    UnreachableLinkError,
+    dbm_to_watts,
+    outage_probability,
+    required_pt_dbm,
+    watts_to_dbm,
+)
+from mqamlink.config import RunConfig
 from mqamlink.energy import (
     CircuitProfile,
     FixedPower,
+    LinkMetrics,
     VariablePower,
     amplifier_overhead,
     energy_to_dbmj,
     expected_link_delay,
     expected_link_energy,
+    hop_costs,
+    hop_unusable,
     link_metrics,
     on_time,
     single_tx_energy_per_bit,
+    threshold,
 )
-from mqamlink.modulation import BerTarget, ModulationScheme
+from mqamlink.modulation import (
+    BerTarget,
+    ModulationScheme,
+    min_received_power_watts,
+    required_gamma_b,
+)
 
 B_GRID = (2, 4, 6, 8, 10)
 
@@ -195,6 +214,90 @@ class TestLinkMetrics:
         assert m.energy_per_bit > 0.0 and math.isfinite(m.energy_per_bit)
         assert m.delay > 0.0 and math.isfinite(m.delay)
         assert m.gamma_b_bar > 0.0
+
+
+def _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=None):
+    """The per-hop arithmetic in one pass, in the order it had before the
+    threshold and the hop were split: the reference for bit-for-bit checks."""
+    gamma = required_gamma_b(target, scheme)
+    pmin_dbm = watts_to_dbm(min_received_power_watts(gamma, scheme, radio))
+    if isinstance(policy, FixedPower):
+        pt_w = policy.pt_watts
+        pt_dbm = watts_to_dbm(pt_w)
+    else:
+        pt_dbm = required_pt_dbm(pmin_dbm, d, prop)
+        pt_w = dbm_to_watts(pt_dbm)
+    p_link = outage_probability(ShadowedLink(d, pt_dbm, pmin_dbm), prop)
+    e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
+    overhead = circuit.ttr_s if t_r_s is None else t_r_s
+    return LinkMetrics(p_link, e_single / (1.0 - p_link),
+                       (on_time(radio, scheme) + overhead) / (1.0 - p_link),
+                       pt_dbm, pmin_dbm, gamma)
+
+
+def _bits(m):
+    return [value.hex() for value in astuple(m)]
+
+
+class TestThresholdAndHop:
+    """`threshold` then `hop_costs` is `link_metrics`, bit for bit in every
+    field, and both are the one-pass arithmetic."""
+
+    @staticmethod
+    def outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s):
+        try:
+            via_link = link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s)
+        except UnreachableLinkError as exc:
+            with pytest.raises(UnreachableLinkError) as split_exc:
+                gamma, pmin_dbm = threshold(scheme, target, radio)
+                hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)(d)
+            assert str(split_exc.value) == str(exc)
+            return None
+        gamma, pmin_dbm = threshold(scheme, target, radio)
+        cost = hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)
+        via_split = LinkMetrics(*cost(d), pmin_dbm, gamma)
+        reference = _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s)
+        assert _bits(via_split) == _bits(via_link) == _bits(reference)
+        return via_link
+
+    @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
+    @pytest.mark.parametrize("t_r_s", [None, 1e-5])
+    def test_default_grids(self, circuit, radio, prop, policy, t_r_s):
+        config = RunConfig()
+        # the single-hop distances and the hops of the default relay line
+        distances = sorted({*config.d_grid_m, *(gap * 10.0 for gap in range(1, 11))})
+        evaluated = 0
+        for pb_bar in {config.ber_target, *config.ber_grid}:
+            for b in config.b_grid:
+                for d in distances:
+                    evaluated += self.outcome(d, policy, ModulationScheme(b), BerTarget(pb_bar),
+                                              circuit, radio, prop, t_r_s) is not None
+        assert evaluated == 5 * 5 * len(distances)
+
+    def test_random_points(self, circuit, radio):
+        rng = np.random.default_rng(20261018)
+        errors = 0
+        for _ in range(400):
+            prop = PropagationParams(beta=float(rng.uniform(2.0, 4.5)),
+                                     sigma_psi_db=float(rng.uniform(1.0, 10.0)))
+            policy = (FixedPower(float(10 ** rng.uniform(-3.0, 0.0))) if rng.random() < 0.5
+                      else VariablePower())
+            scheme = ModulationScheme(int(rng.choice(B_GRID)))
+            target = BerTarget(float(10 ** rng.uniform(-6.0, -2.0)))
+            t_r_s = None if rng.random() < 0.5 else float(10 ** rng.uniform(-7.0, -3.0))
+            d = float(10 ** rng.uniform(0.0, 3.0))
+            errors += self.outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s) is None
+        # saturated hops take the error path, and most points do not
+        assert 0 < errors < 100
+
+    def test_threshold_names_no_hop(self, radio):
+        # b = 4 meets this target at zero SNR: a 0 W threshold
+        with pytest.raises(UnreachableLinkError) as exc:
+            threshold(ModulationScheme(4), BerTarget(0.234375), radio)
+        assert str(exc.value) == "its receive threshold 0.0 W has no finite dBm value"
+        assert str(hop_unusable(7.5, exc.value)) == (
+            "7.5 m hop is unusable: its receive threshold 0.0 W has no finite dBm value"
+        )
 
 
 class TestDbmj:

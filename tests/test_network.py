@@ -1,7 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-import mqamlink.network
 from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts
 from mqamlink.energy import (
     FixedPower,
@@ -18,6 +19,7 @@ from mqamlink.network import (
     optimal_route,
     route_cost,
     route_hops,
+    shortest_route,
 )
 from mqamlink.sweep import SweepPlan, run_joint
 from route_oracle import exhaustive_route, oracle_route
@@ -136,6 +138,31 @@ class TestOptimalRoute:
             )
             assert a.total_delay == pytest.approx(b.total_delay, rel=1e-12)
 
+    def test_per_hop_figures_are_link_metrics(self, circuit, radio):
+        # one threshold per search, then each hop: the chosen route's hops
+        # and totals are those of link_metrics and the oracle, bit for bit
+        rng = np.random.default_rng(1018)
+        for _ in range(40):
+            prop = PropagationParams(beta=float(rng.uniform(2.2, 4.0)),
+                                     sigma_psi_db=float(rng.uniform(2.0, 8.0)))
+            net = LinearNetwork(float(rng.uniform(20.0, 400.0)), int(rng.integers(0, 10)))
+            policy = (FixedPower(float(rng.uniform(0.01, 0.2))) if rng.random() < 0.5
+                      else VariablePower())
+            scheme = ModulationScheme(int(rng.choice((2, 4, 6, 8, 10))))
+            target = BerTarget(float(10 ** rng.uniform(-5.0, -2.5)))
+            t_r_s = None if rng.random() < 0.5 else float(10 ** rng.uniform(-6.0, -3.0))
+            objective = str(rng.choice(("energy", "delay")))
+            args = (net, policy, scheme, target, circuit, radio, prop, objective, t_r_s)
+            best = optimal_route(*args)
+            oracle = oracle_route(*args)
+            assert best.route == oracle.route
+            assert best.total_energy_per_bit == oracle.total_energy_per_bit
+            assert best.total_delay == oracle.total_delay
+            assert best.per_hop == tuple(
+                link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s)
+                for d in route_hops(best.route, net)
+            )
+
     def test_dropping_a_relay_from_optimum_never_helps(self, circuit, radio, prop):
         scheme = ModulationScheme(8)
         target = BerTarget(5e-4)
@@ -172,33 +199,28 @@ class TestOptimalRoute:
         assert first.route == second.route
         assert first.total_energy_per_bit == second.total_energy_per_bit
 
-    def test_exact_ties_keep_the_smallest_predecessor(self, circuit, radio, prop,
-                                                      monkeypatch):
+    def test_exact_ties_keep_the_smallest_predecessor(self):
         # gap costs 1, 2, 3 quarters and 5 for the direct hop: every route
         # but the direct one costs exactly 1.0, so all seven relay subsets tie
-        net = LinearNetwork(8.0, 3)
         cost = {1: 0.25, 2: 0.5, 3: 0.75, 4: 5.0}
+        best = shortest_route(5, lambda i, j: cost[j - i])
+        # the destination keeps predecessor 1 (relay 0), which reaches
+        # it at cost 1.0 before relays 1 and 2 tie it
+        assert best == Route(0b001)
+        assert best.mask_string(3) == "100"
         table = {
             gap: LinkMetrics(p_link=0.0, energy_per_bit=c, delay=c, pt_dbm=0.0,
                              pmin_dbm=0.0, gamma_b_bar=0.0)
             for gap, c in cost.items()
         }
-
-        def fake_link_metrics(distance_m, *args, **kwargs):
-            return table[round(distance_m / net.spacing_m)]
-
-        monkeypatch.setattr(mqamlink.network, "link_metrics", fake_link_metrics)
         for objective in ("energy", "delay"):
-            best = optimal_route(
-                net, FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
-                circuit, radio, prop, objective=objective,
-            )
-            # the destination keeps predecessor 1 (relay 0), which reaches
-            # it at cost 1.0 before relays 1 and 2 tie it
-            assert best.route == Route(0b001)
-            assert best.route.mask_string(3) == "100"
-            assert best.total_energy_per_bit == 1.0
-            assert best.route == exhaustive_route(table, 3, objective).route
+            oracle = exhaustive_route(table, 3, objective)
+            assert best == oracle.route
+            assert oracle.total_energy_per_bit == 1.0
+
+    def test_no_finite_path(self):
+        assert shortest_route(4, lambda i, j: 1.0 if j - i == 1 and j < 3 else math.inf) is None
+        assert shortest_route(2, lambda i, j: 2.0) == Route(0)
 
     def test_hops_inside_far_field_are_skipped(self, circuit, radio, prop):
         # spacing 0.5 m < d0 = 1 m: no route may take a one-gap hop

@@ -36,8 +36,10 @@ def test_every_trace_point_resolves(spans):
 
 @pytest.mark.parametrize("args, span_names, rows", [
     (["singlehop"], {"sweep.run", "energy.link_metrics", "modulation.required_gamma_b"}, 25),
+    # the route search calls no link_metrics: one threshold, then each hop
     (["multihop", "--objective", "delay"],
-     {"sweep.run", "network.optimal_route", "energy.link_metrics"}, 25),
+     {"sweep.run", "network.optimal_route", "modulation.required_gamma_b",
+      "channel.outage_probability"}, 25),
     (["validate", "--trials", "10000"],
      {"channel.monte_carlo_outage", "energy.link_metrics"}, 0),
 ])
