@@ -5,30 +5,15 @@ best constellation shrinks as the hop gets longer, and the adaptive
 (variable) power policy beats fixed power everywhere.
 """
 
-from mqamlink import (
-    CircuitProfile,
-    FixedPower,
-    PropagationParams,
-    RadioConfig,
-    SweepPlan,
-    VariablePower,
-    run_singlehop,
-)
+from mqamlink import RunConfig, parse_config, run_singlehop
 
-circuit = CircuitProfile()
-radio = RadioConfig()
-prop = PropagationParams()
-
-B_GRID = (2, 4, 6, 8, 10)
-D_GRID = (5.0, 25.0, 50.0, 75.0, 100.0)
+# the reference grids: b = 2..10, d = 5..100 m
+B_GRID = RunConfig().b_grid
+D_GRID = RunConfig().d_grid_m
 
 
-def table(policy, label):
-    plan = SweepPlan(
-        kind="singlehop", b_grid=B_GRID, d_grid_m=D_GRID, ber_grid=(1e-4,),
-        policy=policy,
-    )
-    rows = run_singlehop(plan, circuit, radio, prop)
+def table(document, label):
+    rows = run_singlehop(parse_config(document))
     print(f"{label}: energy per bit (dBmJ), * marks the per-distance optimum")
     print("   b  " + "".join(f"{f'd={d:g} m':>12}" for d in D_GRID))
     for b in B_GRID:
@@ -42,8 +27,9 @@ def table(policy, label):
     return rows
 
 
-fixed_rows = table(FixedPower(0.1), "fixed P_t = 100 mW, BER target 1e-4")
-variable_rows = table(VariablePower(), "variable P_t (threshold-tracking)")
+fixed_rows = table("policy = fixed\npt_mw = 100\nber_target = 1e-4\n",
+                   "fixed P_t = 100 mW, BER target 1e-4")
+variable_rows = table("policy = variable\n", "variable P_t (threshold-tracking)")
 
 print("per-distance optima, fixed vs variable:")
 for d in D_GRID:

@@ -5,23 +5,11 @@ its own optimal route, and the surface bottoms out near 4-QAM at 25 mW
 with the direct (no-relay) route.
 """
 
-from mqamlink import (
-    CircuitProfile,
-    LinearNetwork,
-    PropagationParams,
-    RadioConfig,
-    SweepPlan,
-    run_joint,
-)
+from mqamlink import parse_config, run_joint
 
-circuit = CircuitProfile()
-radio = RadioConfig()
-prop = PropagationParams()
-net = LinearNetwork(100.0, 9)
-
-pt_grid_w = tuple(0.005 * k for k in range(1, 21))  # 5 .. 100 mW
-plan = SweepPlan(kind="joint", ber_grid=(1e-4,), pt_grid_w=pt_grid_w)
-rows, best = run_joint(plan, net, circuit, radio, prop)
+# the reference setup: 100 m line with 9 relays, BER target 1e-4,
+# pt_grid_mw = 5, 10, ..., 100
+rows, best = run_joint(parse_config(""))
 
 print("optimal-route energy per bit (dBmJ) over the (b, P_t) grid, BER 1e-4:")
 pts = sorted({r.pt_mw for r in rows})

@@ -19,6 +19,7 @@ from .channel import (
     required_pt_dbm,
     watts_to_dbm,
 )
+from .config import RunConfig, parse_config
 from .energy import (
     CircuitProfile,
     FixedPower,
@@ -51,7 +52,7 @@ from .network import (
     route_hops,
 )
 from .numerics import gaussian_q
-from .sweep import SweepPlan, SweepRow, run_joint, run_multihop, run_singlehop
+from .sweep import SweepRow, run_joint, run_multihop, run_singlehop
 
 __version__ = "0.1.0"
 
@@ -92,7 +93,8 @@ __all__ = [
     "route_cost",
     "optimal_route",
     "gaussian_q",
-    "SweepPlan",
+    "RunConfig",
+    "parse_config",
     "SweepRow",
     "run_singlehop",
     "run_multihop",

@@ -10,7 +10,8 @@ a thread pool sized to the usable CPUs, and its report is the same for
 any pool size. Exit codes: 0 success, 1 config error, 2 every grid
 point infeasible (for `validate`: every link skipped as infeasible,
 unreachable or in near-certain outage), 3 validation failure (a
-simulation reaching its round cap included).
+simulation reaching its round cap included). Each subcommand takes only
+the flags it reads, and argparse exits 2 with a usage line on any other.
 """
 
 from __future__ import annotations
@@ -102,10 +103,7 @@ def _finish(rows: list[SweepRow], coordinates: Sequence[str], columns: Sequence[
 
 
 def _cmd_singlehop(config: RunConfig, args: argparse.Namespace) -> int:
-    rows = run_singlehop(
-        config.plan("singlehop"), config.circuit(), config.radio(),
-        config.propagation(), t_r_s=config.resolved_t_r_s(),
-    )
+    rows = run_singlehop(config)
     return _finish(rows, ("d_m",), _SINGLEHOP_COLUMNS, config.output_path, (
         f"singlehop argmin: d_m={_fmt(row.d_m)} b={row.b} "
         f"energy_dbmj={_fmt(row.energy_dbmj)} delay_s={_fmt(row.delay_s)}"
@@ -114,11 +112,7 @@ def _cmd_singlehop(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_multihop(config: RunConfig, args: argparse.Namespace) -> int:
-    rows = run_multihop(
-        config.plan("multihop"), config.network(), config.circuit(),
-        config.radio(), config.propagation(), objective=args.objective,
-        t_r_s=config.resolved_t_r_s(),
-    )
+    rows = run_multihop(config, objective=args.objective)
     return _finish(rows, (), _MULTIHOP_COLUMNS, config.output_path, (
         f"multihop argmin ({args.objective}): ber={_fmt(row.ber_target)} b={row.b} "
         f"route={row.route_mask} energy_dbmj={_fmt(row.energy_dbmj)} "
@@ -128,10 +122,7 @@ def _cmd_multihop(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_joint(config: RunConfig, args: argparse.Namespace) -> int:
-    rows, _ = run_joint(
-        config.plan("joint"), config.network(), config.circuit(),
-        config.radio(), config.propagation(), t_r_s=config.resolved_t_r_s(),
-    )
+    rows, _ = run_joint(config)
     return _finish(rows, ("pt_mw",), _JOINT_COLUMNS, config.output_path, (
         f"joint global minimum: b={row.b} pt_mw={_fmt(row.pt_mw)} "
         f"route={row.route_mask} energy_dbmj={_fmt(row.energy_dbmj)} "
@@ -266,16 +257,20 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# name: (help, handler, flags beyond those every subcommand takes)
+# every sweep writes a CSV; `validate` writes none
+_OUT = {"--out": dict(help="CSV output path (overrides output_path)")}
+# name: (help, handler, flags beyond --config and --policy)
 _SUBCOMMANDS = {
-    "singlehop": ("energy per bit over the (b, distance) grid", _cmd_singlehop, {}),
+    "singlehop": ("energy per bit over the (b, distance) grid", _cmd_singlehop, _OUT),
     "multihop": ("optimal-route energy/delay over the (BER, b) grid", _cmd_multihop, {
+        **_OUT,
         "--objective": dict(choices=("energy", "delay"), default="energy",
                             help="route-selection objective"),
     }),
-    "joint": ("optimal-route energy over the (b, transmit power) grid", _cmd_joint, {}),
+    "joint": ("optimal-route energy over the (b, transmit power) grid", _cmd_joint, _OUT),
     "validate": ("Monte Carlo check of the outage model", _cmd_validate, {
         "--trials": dict(type=int, help="Monte Carlo packets per link"),
+        "--seed": dict(type=int, help="RNG seed (overrides seed)"),
     }),
 }
 # flags that override a config key
@@ -295,8 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", help="path to a key = value config file")
-        cmd.add_argument("--out", help="CSV output path (overrides output_path)")
-        cmd.add_argument("--seed", type=int, help="RNG seed (overrides seed)")
         cmd.add_argument("--policy", choices=POLICIES, help="transmit power policy")
         for flag, options in flags.items():
             cmd.add_argument(flag, **options)

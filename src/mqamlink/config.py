@@ -6,7 +6,9 @@ field, whose declared type picks the key's parser, and has the fixed
 unit listed below; powers are given in mW to match the reference
 parameter table and converted internally. An empty document yields the
 full default configuration. The rules on the values live in the domain
-objects built from them.
+objects built from them. A validated `RunConfig` is the whole
+description of a run: the sweeps in `sweep` and the `validate` check
+read it as it is.
 
 Keys and units:
     d0_m                reference far-field distance (m)
@@ -43,9 +45,9 @@ from typing import Optional
 
 from .channel import PropagationParams, k_db_from_carrier
 from .energy import CircuitProfile, FixedPower, PowerPolicy, VariablePower
-from .modulation import ALLOWED_BITS_PER_SYMBOL, BerTarget, RadioConfig
+from .modulation import ALLOWED_BITS_PER_SYMBOL, BerTarget, ModulationScheme, RadioConfig
 from .network import LinearNetwork
-from .sweep import SweepPlan
+from .numerics import require_positive
 
 __all__ = ["POLICIES", "ConfigError", "RunConfig", "parse_config", "serialize_config"]
 
@@ -130,28 +132,12 @@ class RunConfig:
             raise ConfigError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         return FixedPower(self.pt_mw * 1e-3) if self.policy == FixedPower.name else VariablePower()
 
-    def plan(self, kind: str) -> SweepPlan:
-        if kind == "joint" and self.policy != FixedPower.name:
-            raise ConfigError(f"joint sweeps fixed powers over pt_grid_mw; "
-                              f"policy {self.policy!r} does not apply")
-        if kind == "multihop":
-            ber_grid = self.ber_grid
-        else:
-            ber_grid = (self.ber_target,)
-        return SweepPlan(
-            kind=kind,
-            b_grid=self.b_grid,
-            d_grid_m=self.d_grid_m,
-            pt_grid_w=tuple(p * 1e-3 for p in self.pt_grid_mw),
-            ber_grid=ber_grid,
-            policy=self.power_policy(),
-        )
-
     def validate(self) -> None:
         """Raise ConfigError naming the offending key on any bad value.
 
-        Builds every domain object, whose rules include finiteness, and
-        checks only t_r_s and trials itself. The key named is the first,
+        Builds every domain object, one per grid value included, whose
+        rules include finiteness; checks only that each grid is nonempty,
+        and t_r_s and trials, itself. The key named is the first,
         in declaration order, at which the defaults overlaid with this
         config's values stop building.
         """
@@ -177,9 +163,17 @@ class RunConfig:
         self.radio()
         self.network()
         FixedPower(self.pt_mw * 1e-3)
-        self.plan("multihop")
-        # the single-hop and joint plans differ only in this one-target grid
-        BerTarget(self.ber_target)
+        self.power_policy()
+        if not (self.b_grid and self.d_grid_m and self.pt_grid_mw and self.ber_grid):
+            raise ValueError("every grid must be nonempty")
+        for b in self.b_grid:
+            ModulationScheme(b)
+        for pb_bar in (self.ber_target, *self.ber_grid):
+            BerTarget(pb_bar)
+        for p in self.pt_grid_mw:
+            FixedPower(p * 1e-3)
+        for d in self.d_grid_m:
+            require_positive(d_grid_m=d)
         if not (self.t_r_s is None or 0 <= self.t_r_s < math.inf):
             raise ValueError(f"t_r_s must be nonnegative and finite, got {self.t_r_s}")
         if self.trials < 1:

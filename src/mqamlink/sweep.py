@@ -1,12 +1,14 @@
 """Parameter-study engine for the standard experiment grids.
 
-Three sweep kinds: single-hop energy over (constellation, distance),
-multi-hop optimal-route energy/delay over (BER target, constellation),
-and the joint (constellation, transmit power) surface. Rows come back in
-canonical grid order with argmin flags, so CSV output is deterministic.
-Grid points with no answer (a BER target the constellation cannot meet,
-or no usable hop or route) become error rows instead of aborting the
-sweep.
+Three sweeps read one validated `RunConfig`: single-hop energy over
+(constellation, distance) at `ber_target`, multi-hop optimal-route
+energy/delay over (`ber_grid`, constellation), and the joint
+(constellation, transmit power) surface over `pt_grid_mw`. Each sweep
+builds the config's domain objects once and walks its grids in
+ascending order, so rows come back in canonical grid order, with argmin
+flags, whatever order the config lists them in. Grid points with no
+answer (a BER target the constellation cannot meet, or no usable hop or
+route) become error rows instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -14,54 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
-from .channel import PropagationParams, UnreachableLinkError
-from .energy import (
-    CircuitProfile,
-    FixedPower,
-    PowerPolicy,
-    energy_to_dbmj,
-    link_metrics,
-)
-from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme, RadioConfig
-from .network import LinearNetwork, optimal_route
-from .numerics import require_positive
+from .channel import UnreachableLinkError
+from .config import ConfigError, RunConfig
+from .energy import FixedPower, PowerPolicy, energy_to_dbmj, link_metrics
+from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
+from .network import optimal_route
 
-__all__ = ["SweepPlan", "SweepRow", "run_singlehop", "run_multihop", "run_joint"]
+__all__ = ["SweepRow", "run_singlehop", "run_multihop", "run_joint"]
 
 _T = TypeVar("_T")
-
-_KINDS = ("singlehop", "multihop", "joint")
-
-
-@dataclass(frozen=True)
-class SweepPlan:
-    """Grid definition for one sweep run."""
-
-    kind: str
-    b_grid: tuple[int, ...] = (2, 4, 6, 8, 10)
-    d_grid_m: tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 100.0)
-    pt_grid_w: tuple[float, ...] = tuple(0.005 * k for k in range(1, 21))
-    ber_grid: tuple[float, ...] = (1e-4, 3e-4, 5e-4, 8e-4, 1e-3)
-    policy: PowerPolicy = FixedPower(0.1)
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        # canonical row order: ascending grids regardless of input order
-        for name in ("b_grid", "d_grid_m", "pt_grid_w", "ber_grid"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
-        if not (self.b_grid and self.d_grid_m and self.pt_grid_w and self.ber_grid):
-            raise ValueError("every grid must be nonempty")
-        for b in self.b_grid:
-            ModulationScheme(b)
-        for pb_bar in self.ber_grid:
-            BerTarget(pb_bar)
-        for pt_w in self.pt_grid_w:
-            FixedPower(pt_w)
-        for d in self.d_grid_m:
-            require_positive(d_grid_m=d)
-        if self.kind in ("singlehop", "joint") and len(self.ber_grid) != 1:
-            raise ValueError(f"{self.kind} sweeps use exactly one BER target")
 
 
 @dataclass
@@ -109,53 +72,50 @@ def _evaluate(row: SweepRow, compute: Callable[[], _T]) -> Optional[_T]:
         return None
 
 
-def _route_row(
-    row: SweepRow,
-    net: LinearNetwork,
-    policy: PowerPolicy,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    objective: str,
-    t_r_s: float | None,
-) -> SweepRow:
-    """Fill row with the optimal route at its (b, BER target)."""
-    result = _evaluate(row, lambda: optimal_route(
-        net, policy, ModulationScheme(row.b), BerTarget(row.ber_target),
-        circuit, radio, prop, objective=objective, t_r_s=t_r_s,
-    ))
-    if result is not None:
-        row.route_mask = result.route.mask_string(net.relay_count)
-        row.hops = len(result.per_hop)
-        row.energy_j_per_bit = result.total_energy_per_bit
-        row.energy_dbmj = energy_to_dbmj(result.total_energy_per_bit)
-        row.delay_s = result.total_delay
-    return row
+def _route_filler(
+    config: RunConfig, objective: str,
+) -> Callable[[SweepRow, PowerPolicy], SweepRow]:
+    """A function that fills a row with the optimal route, under a power
+    policy, at the row's (b, BER target) on the config's relay line."""
+    net, circuit, radio, prop = (
+        config.network(), config.circuit(), config.radio(), config.propagation())
+    t_r_s = config.resolved_t_r_s()
+
+    def fill(row: SweepRow, policy: PowerPolicy) -> SweepRow:
+        result = _evaluate(row, lambda: optimal_route(
+            net, policy, ModulationScheme(row.b), BerTarget(row.ber_target),
+            circuit, radio, prop, objective=objective, t_r_s=t_r_s,
+        ))
+        if result is not None:
+            row.route_mask = result.route.mask_string(net.relay_count)
+            row.hops = len(result.per_hop)
+            row.energy_j_per_bit = result.total_energy_per_bit
+            row.energy_dbmj = energy_to_dbmj(result.total_energy_per_bit)
+            row.delay_s = result.total_delay
+        return row
+
+    return fill
 
 
 def _energy(row: SweepRow) -> float:
     return row.energy_j_per_bit
 
 
-def run_singlehop(
-    plan: SweepPlan,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    t_r_s: float | None = None,
-) -> list[SweepRow]:
+def run_singlehop(config: RunConfig) -> list[SweepRow]:
     """Evaluate every (b, d) grid point; flag the per-distance energy argmin."""
-    if plan.kind != "singlehop":
-        raise ValueError(f"plan kind must be 'singlehop', got {plan.kind!r}")
-    pb_bar = plan.ber_grid[0]
+    policy, circuit, radio, prop = (
+        config.power_policy(), config.circuit(), config.radio(), config.propagation())
+    t_r_s = config.resolved_t_r_s()
+    pb_bar = config.ber_target
+    target = BerTarget(pb_bar)
     rows: list[SweepRow] = []
     groups: dict[float, list[SweepRow]] = {}
-    for b in plan.b_grid:
-        for d in plan.d_grid_m:
-            row = SweepRow(policy=plan.policy.name, b=b, ber_target=pb_bar, d_m=d)
+    for b in sorted(config.b_grid):
+        scheme = ModulationScheme(b)
+        for d in sorted(config.d_grid_m):
+            row = SweepRow(policy=policy.name, b=b, ber_target=pb_bar, d_m=d)
             m = _evaluate(row, lambda: link_metrics(
-                d, plan.policy, ModulationScheme(b), BerTarget(pb_bar),
-                circuit, radio, prop, t_r_s=t_r_s,
+                d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s,
             ))
             if m is not None:
                 row.pt_dbm = m.pt_dbm
@@ -170,28 +130,17 @@ def run_singlehop(
     return rows
 
 
-def run_multihop(
-    plan: SweepPlan,
-    net: LinearNetwork,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    objective: str = "energy",
-    t_r_s: float | None = None,
-) -> list[SweepRow]:
+def run_multihop(config: RunConfig, objective: str = "energy") -> list[SweepRow]:
     """Optimal route per (BER target, b); flag the per-target argmin under
     the chosen objective."""
-    if plan.kind != "multihop":
-        raise ValueError(f"plan kind must be 'multihop', got {plan.kind!r}")
-    pt_mw = plan.policy.pt_watts * 1e3 if isinstance(plan.policy, FixedPower) else None
+    policy = config.power_policy()
+    pt_mw = policy.pt_watts * 1e3 if isinstance(policy, FixedPower) else None
+    fill = _route_filler(config, objective)
     rows: list[SweepRow] = []
     groups: dict[float, list[SweepRow]] = {}
-    for pb_bar in plan.ber_grid:
-        for b in plan.b_grid:
-            row = _route_row(
-                SweepRow(policy=plan.policy.name, b=b, ber_target=pb_bar, pt_mw=pt_mw),
-                net, plan.policy, circuit, radio, prop, objective, t_r_s,
-            )
+    for pb_bar in sorted(config.ber_grid):
+        for b in sorted(config.b_grid):
+            row = fill(SweepRow(policy=policy.name, b=b, ber_target=pb_bar, pt_mw=pt_mw), policy)
             rows.append(row)
             groups.setdefault(pb_bar, []).append(row)
     objective_key = _energy if objective == "energy" else (lambda r: r.delay_s)
@@ -199,30 +148,21 @@ def run_multihop(
     return rows
 
 
-def run_joint(
-    plan: SweepPlan,
-    net: LinearNetwork,
-    circuit: CircuitProfile,
-    radio: RadioConfig,
-    prop: PropagationParams,
-    t_r_s: float | None = None,
-) -> tuple[list[SweepRow], Optional[SweepRow]]:
+def run_joint(config: RunConfig) -> tuple[list[SweepRow], Optional[SweepRow]]:
     """Optimal-route energy surface over (b, pt); returns rows plus the
     global-minimum row (None when every grid point is infeasible). Ties
-    go to the smaller b, then the smaller pt. The powers come from the
-    plan's pt_grid_w, so its policy must be a FixedPower."""
-    if plan.kind != "joint":
-        raise ValueError(f"plan kind must be 'joint', got {plan.kind!r}")
-    if not isinstance(plan.policy, FixedPower):
-        raise ValueError(f"joint sweeps fixed powers over pt_grid_w, not {plan.policy}")
-    pb_bar = plan.ber_grid[0]
+    go to the smaller b, then the smaller pt. The powers come from
+    pt_grid_mw, so the config's policy must be the fixed one."""
+    if config.policy != FixedPower.name:
+        raise ConfigError(f"joint sweeps fixed powers over pt_grid_mw; "
+                          f"policy {config.policy!r} does not apply")
+    fill = _route_filler(config, "energy")
+    policies = [FixedPower(p * 1e-3) for p in sorted(config.pt_grid_mw)]
     rows = [
-        _route_row(
-            SweepRow(policy=FixedPower.name, b=b, ber_target=pb_bar, pt_mw=pt_w * 1e3),
-            net, FixedPower(pt_w), circuit, radio, prop, "energy", t_r_s,
-        )
-        for b in plan.b_grid
-        for pt_w in plan.pt_grid_w
+        fill(SweepRow(policy=FixedPower.name, b=b, ber_target=config.ber_target,
+                      pt_mw=policy.pt_watts * 1e3), policy)
+        for b in sorted(config.b_grid)
+        for policy in policies
     ]
     best = _flag_argmin([rows], key=_energy)
     return rows, best[0] if best else None

@@ -138,6 +138,22 @@ class TestFlags:
                 main([command, flag, value])
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        # a sweep reads no seed, and `validate` writes no CSV
+        ["singlehop", "--seed", "5"],
+        ["validate", "--trials", "10000", "--out", "x.csv"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, tmp_path, capsys,
+                                                               monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mqamlink ")
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         # a flag given to one call must not become a default of the next
         runs = (["multihop", "--objective", "delay"], ["multihop"],
@@ -157,6 +173,28 @@ class TestFlags:
                                    capture_output=True, text=True, env=env, timeout=60)
             assert result == (fresh.returncode, fresh.stdout, fresh.stderr, out.read_bytes())
             out.unlink()
+
+
+class TestGridOrder:
+    """Rows come in ascending grid order, whatever order the config lists
+    the grids in."""
+
+    @pytest.mark.parametrize("command", ["singlehop", "multihop", "joint"])
+    def test_unsorted_grids_give_the_sorted_bytes(self, tmp_path, capsys, command):
+        results = []
+        for grids in ("b_grid = 2,6,10\nd_grid_m = 5,50,100\nber_grid = 1e-4,1e-3\n"
+                      "pt_grid_mw = 5,50\n",
+                      "b_grid = 10,2,6\nd_grid_m = 100,5,50\nber_grid = 1e-3,1e-4\n"
+                      "pt_grid_mw = 50,5\n"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(grids)
+            out = tmp_path / "out.csv"
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, out.read_bytes()))
+            out.unlink()
+        assert results[0][0] == EXIT_OK
+        assert results[1] == results[0]
 
 
 class TestUnusableHops:
@@ -770,11 +808,11 @@ class TestAnyConfig:
                 mock.patch.object(channel, "_MAX_MC_ROUNDS", 1000):
             cfg = Path(tmp) / "cfg.txt"
             cfg.write_text(serialize_config(replace(RunConfig(), **values)))
-            for args in (["singlehop"], ["multihop"], ["joint"],
-                         ["validate", "--trials", "10000"]):
-                out = Path(tmp) / f"{args[0]}.csv"
-                code = main([*args, "--config", str(cfg), "--out", str(out)])
+            sweeps = [[name, "--out", str(Path(tmp) / f"{name}.csv")]
+                      for name in ("singlehop", "multihop", "joint")]
+            for args in (*sweeps, ["validate", "--trials", "10000"]):
+                code = main([*args, "--config", str(cfg)])
                 assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VALIDATION)
-                if out.exists():
-                    cells = [c for row in read_csv(out) for c in row.values()]
-                    assert not any(c in ("inf", "-inf", "nan") for c in cells)
+            for out in Path(tmp).glob("*.csv"):
+                cells = [c for row in read_csv(out) for c in row.values()]
+                assert not any(c in ("inf", "-inf", "nan") for c in cells)

@@ -8,6 +8,7 @@ from mqamlink.config import POLICIES, ConfigError, RunConfig, parse_config, seri
 from mqamlink.energy import CircuitProfile, FixedPower, VariablePower
 from mqamlink.modulation import BerTarget, RadioConfig
 from mqamlink.network import LinearNetwork
+from mqamlink.sweep import run_joint, run_multihop, run_singlehop
 
 # a valid instance of every domain dataclass with a float field
 DOMAIN_OBJECTS = (
@@ -103,10 +104,15 @@ class TestParsing:
             ("policy = adaptive", "policy"),
             ("pt_mw = 0", "pt_mw"),
             ("b_grid = 3,4", "b_grid"),
+            ("b_grid = 2,3", "b_grid"),
             ("d_grid_m = 5,0", "d_grid_m"),
+            ("d_grid_m = 5,inf", "d_grid_m"),
             ("pt_grid_mw = 5,-5", "pt_grid_mw"),
+            ("pt_grid_mw = 50,nan", "pt_grid_mw"),
+            ("pt_grid_mw = 50,0", "pt_grid_mw"),
             ("ber_target = 0.5", "ber_target"),
             ("ber_grid = 1e-4,0.375", "ber_grid"),
+            ("ber_grid = 1e-4,0.4", "ber_grid"),
             ("trials = 0", "trials"),
             # finite values whose derived quantities overflow
             ("frequency_hz = 1e-300", "frequency_hz"),
@@ -118,6 +124,15 @@ class TestParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(line + "\n")
         assert str(err.value).startswith(f"invalid value for key '{key}': ")
+
+    # an empty grid has no document line: the parser rejects `b_grid =`
+    @pytest.mark.parametrize("key", ["b_grid", "d_grid_m", "pt_grid_mw", "ber_grid"])
+    def test_empty_grid_names_the_key(self, key):
+        with pytest.raises(ConfigError) as err:
+            replace(RunConfig(), **{key: ()}).validate()
+        assert str(err.value) == (
+            f"invalid value for key '{key}': () (every grid must be nonempty)"
+        )
 
     @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)
                                      if f.type in ("float", "Optional[float]",
@@ -157,17 +172,18 @@ class TestDomainMapping:
 
     def test_joint_plan_needs_fixed_policy(self):
         with pytest.raises(ConfigError, match="joint sweeps fixed powers over pt_grid_mw"):
-            parse_config("policy = variable\n").plan("joint")
+            run_joint(parse_config("policy = variable\n"))
 
     def test_circuit_unit_conversion(self):
         circuit = parse_config("pct_mw = 98.2\n").circuit()
         assert circuit.pct_w == pytest.approx(0.0982, rel=1e-12)
 
     def test_plan_selects_ber_grid_by_kind(self):
-        config = parse_config("ber_target = 0.0003\n")
-        assert config.plan("singlehop").ber_grid == (0.0003,)
-        assert config.plan("joint").ber_grid == (0.0003,)
-        assert config.plan("multihop").ber_grid == config.ber_grid
+        # singlehop and joint run at ber_target, multihop over ber_grid
+        config = parse_config("ber_target = 0.0003\nb_grid = 4\nd_grid_m = 50\npt_grid_mw = 25\n")
+        assert [r.ber_target for r in run_singlehop(config)] == [0.0003]
+        assert [r.ber_target for r in run_joint(config)[0]] == [0.0003]
+        assert [r.ber_target for r in run_multihop(config)] == list(config.ber_grid)
 
     def test_network_mapping(self):
         net = parse_config("total_distance_m = 80\nrelay_count = 3\n").network()

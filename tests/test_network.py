@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts
+from mqamlink.config import ConfigError, RunConfig
 from mqamlink.energy import (
     FixedPower,
     LinkMetrics,
@@ -21,7 +23,7 @@ from mqamlink.network import (
     route_hops,
     shortest_route,
 )
-from mqamlink.sweep import SweepPlan, run_joint
+from mqamlink.sweep import run_joint
 from route_oracle import exhaustive_route, oracle_route
 
 NET = LinearNetwork(100.0, 9)
@@ -265,31 +267,31 @@ class TestJointOptimize:
     """The joint (b, P_t) optimum, searched by `sweep.run_joint`."""
 
     @staticmethod
-    def plan(b_grid, pt_grid_w):
-        return SweepPlan(kind="joint", b_grid=b_grid, pt_grid_w=pt_grid_w, ber_grid=(1e-4,))
+    def config(b_grid, pt_grid_mw):
+        return replace(RunConfig(), b_grid=b_grid, pt_grid_mw=pt_grid_mw)
 
-    def test_degenerate_grid_reduces_to_optimal_route(self, circuit, radio, prop):
-        _, best = run_joint(self.plan((6,), (0.05,)), NET, circuit, radio, prop)
+    def test_degenerate_grid_reduces_to_optimal_route(self):
+        config = self.config((6,), (50.0,))
+        _, best = run_joint(config)
         assert (best.b, best.pt_mw) == (6, 50.0)
         direct = optimal_route(
-            NET, FixedPower(0.05), ModulationScheme(6), BerTarget(1e-4),
-            circuit, radio, prop,
+            config.network(), FixedPower(50.0 * 1e-3), ModulationScheme(6), BerTarget(1e-4),
+            config.circuit(), config.radio(), config.propagation(),
+            t_r_s=config.resolved_t_r_s(),
         )
         assert best.energy_j_per_bit == direct.total_energy_per_bit
         assert best.route_mask == direct.route.mask_string(NET.relay_count)
 
-    def test_larger_grid_never_increases_minimum(self, circuit, radio, prop):
-        _, small = run_joint(self.plan((4, 6), (0.025, 0.05)), NET, circuit, radio, prop)
-        _, large = run_joint(
-            self.plan((2, 4, 6, 8), (0.01, 0.025, 0.05, 0.1)), NET, circuit, radio, prop
-        )
+    def test_larger_grid_never_increases_minimum(self):
+        _, small = run_joint(self.config((4, 6), (25.0, 50.0)))
+        _, large = run_joint(self.config((2, 4, 6, 8), (10.0, 25.0, 50.0, 100.0)))
         assert large.energy_j_per_bit <= small.energy_j_per_bit
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            self.plan((2,), ())
-        with pytest.raises(ValueError):
-            self.plan((), (0.05,))
+        with pytest.raises(ConfigError, match="key 'pt_grid_mw'"):
+            self.config((2,), ()).validate()
+        with pytest.raises(ConfigError, match="key 'b_grid'"):
+            self.config((), (50.0,)).validate()
 
 
 class TestLinearNetworkType:

@@ -48,10 +48,12 @@ def test_traced_subcommands(spans, tmp_path, args, span_names, rows):
     # every call, as under `perfbench/run.py --trace 1`
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("b_grid = 4,6\nd_grid_m = 40\n" if args[0] == "validate" else "")
+    # `validate` writes no CSV, so it takes no --out
+    out = [] if args[0] == "validate" else ["--out", str(tmp_path / "out.csv")]
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = cli.main([*args, "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+        code = cli.main([*args, "--config", str(cfg), *out])
     finally:
         tracer.uninstall()
     assert code == cli.EXIT_OK
