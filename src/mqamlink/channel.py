@@ -12,6 +12,7 @@ watts happen at the module boundary.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "required_pt_dbm",
     "monte_carlo_outage",
     "monte_carlo_cap_reachable",
+    "MonteCarloStopped",
     "UnreachableLinkError",
 ]
 
@@ -45,6 +47,10 @@ _MAX_MC_ROUNDS = 100_000
 _MC_CAP_RISK = 1e-9
 # Packets drawn per chunk of a Monte Carlo round: one 128 KiB buffer.
 _MC_CHUNK = 1 << 14
+
+
+class MonteCarloStopped(Exception):
+    """A simulation ended early because its stop event was set."""
 
 
 class UnreachableLinkError(ValueError):
@@ -183,6 +189,8 @@ def monte_carlo_outage(
     params: PropagationParams,
     trials: int,
     seed: int,
+    *,
+    stop: threading.Event | None = None,
 ) -> tuple[float, float]:
     """Simulate shadowing draws to validate the analytic outage model.
 
@@ -206,6 +214,10 @@ def monte_carlo_outage(
     the chunked draws are the same stream as one draw per round, bit for
     bit. The heavy steps release the interpreter lock, so simulations of
     different links can run on concurrent threads.
+
+    When `stop` is given, it is checked before each chunk; once it is set,
+    the simulation raises MonteCarloStopped, so a caller can end it within
+    one chunk of draws.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -227,6 +239,8 @@ def monte_carlo_outage(
         transmissions += active
         still_failed = 0
         for start in range(0, active, _MC_CHUNK):
+            if stop is not None and stop.is_set():
+                raise MonteCarloStopped(f"simulation stopped in round {rounds}")
             size = min(_MC_CHUNK, active - start)
             received_dbm = rng.standard_normal(out=draws[:size])
             received_dbm *= params.sigma_psi_db

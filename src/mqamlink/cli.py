@@ -22,6 +22,7 @@ import functools
 import itertools
 import os
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -165,11 +166,11 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     """Monte Carlo check of the analytic outage probability and the
     geometric retransmission count on every (b, d) grid link.
 
-    The analytic side and the SKIP decisions run first, in grid order.
-    The simulations then run on a thread pool, one link per task, the
-    heaviest first; each link has its own seed, so the report, printed
-    in grid order once every simulation is done, does not depend on the
-    number of threads.
+    The analytic side and the SKIP decisions run first, over the links
+    in ascending (b, d) order. The simulations then run on a thread pool,
+    one link per task, the heaviest first; each link has its own seed, so
+    the report, printed in that order once every simulation is done, does
+    not depend on the number of threads.
     """
     from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -184,7 +185,9 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     circuit = config.circuit()
     radio = config.radio()
     policy = config.power_policy()
-    links = list(itertools.product(config.b_grid, config.d_grid_m))
+    # sorted, so that the per-link seeds and the report follow the links,
+    # not the order the config lists them in
+    links = list(itertools.product(sorted(config.b_grid), sorted(config.d_grid_m)))
     link_seeds = np.random.SeedSequence(seed).generate_state(len(links))
     skips: dict[int, str] = {}  # grid index -> SKIP reason
     simulate: dict[int, tuple[float, ShadowedLink]] = {}  # grid index -> (p_link, link)
@@ -206,15 +209,19 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
             simulate[i] = (p, ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm))
     # a link draws about trials / (1 - p) values: submit the largest p first
     heaviest_first = sorted(simulate, key=lambda i: simulate[i][0], reverse=True)
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(simulate)))) as pool:
         futures = {
-            i: pool.submit(monte_carlo_outage, simulate[i][1], prop, trials, int(link_seeds[i]))
+            i: pool.submit(monte_carlo_outage, simulate[i][1], prop, trials, int(link_seeds[i]),
+                           stop=stop)
             for i in heaviest_first
         }
         try:
             wait(futures.values())
         except BaseException:
-            # interrupted: start none of the queued links, finish the running ones
+            # interrupted: the running links stop within one chunk of draws,
+            # and none of the queued ones starts
+            stop.set()
             pool.shutdown(wait=False, cancel_futures=True)
             raise
     failures = 0

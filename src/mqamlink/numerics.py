@@ -3,9 +3,12 @@
 Four self-contained primitives: the Gaussian Q-function, binomial tail
 probabilities, fixed-order Gauss-Legendre quadrature on a finite
 interval, and bisection for monotone functions. The runtime uses the
-Q-function, the binomial tails and bisection; the quadrature evaluates
-the BER integrals in the tests, as the oracle for the closed form in
-`modulation`. `require_positive` is the parameter check the domain
+Q-function and the binomial tails. The quadrature evaluates the BER
+integrals in the tests, as the oracle for the closed form in
+`modulation`. Bisection no longer runs: `modulation` inverts the BER
+curve by its own Newton solve, and keeps `solve_monotone` and
+`integrate` importable only because the benchmark's trace points look
+them up there. `require_positive` is the parameter check the domain
 objects share. All are pure functions with no shared mutable state, so
 they are safe to call from any number of concurrent workers.
 """

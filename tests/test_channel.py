@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -261,6 +262,42 @@ class TestMonteCarloMatchesOracle:
         monkeypatch.setattr(channel, "_MAX_MC_ROUNDS", 1)
         clear = ShadowedLink(50.0, 20.0, mean - 40.0)
         assert monte_carlo_outage(clear, prop, 1_000, 0) == (0.0, 1.0)
+
+
+class TestStopEvent:
+    """`monte_carlo_outage(..., stop=event)` checks the event before each
+    chunk of draws, and an unset event leaves the draws as they were."""
+
+    class SetAfterChecks(threading.Event):
+        """An event that reads as set from its (n + 1)-th check on."""
+
+        def __init__(self, n):
+            super().__init__()
+            self.n = n
+            self.checks = 0
+
+        def is_set(self):
+            self.checks += 1
+            return self.checks > self.n
+
+    def test_set_event_stops_after_at_most_one_chunk(self, prop):
+        link = ShadowedLink(50.0, 20.0, mean_received_power_dbm(20.0, 50.0, prop))
+        event = self.SetAfterChecks(1)
+        with pytest.raises(channel.MonteCarloStopped):
+            monte_carlo_outage(link, prop, 5 * channel._MC_CHUNK, 3, stop=event)
+        # one chunk drawn, then the set event seen
+        assert event.checks == 2
+        preset = threading.Event()
+        preset.set()
+        with pytest.raises(channel.MonteCarloStopped):
+            monte_carlo_outage(link, prop, 5 * channel._MC_CHUNK, 3, stop=preset)
+
+    def test_unset_event_keeps_the_draw_stream(self):
+        prop, links = default_validate_links()
+        for link, _ in links:
+            assert (monte_carlo_outage(link, prop, 3 * channel._MC_CHUNK + 17, 11,
+                                       stop=threading.Event())
+                    == oracle_monte_carlo_outage(link, prop, 3 * channel._MC_CHUNK + 17, 11))
 
 
 class TestParamValidation:

@@ -252,7 +252,7 @@ class TestUnusableHops:
         assert lines[0].startswith("link b=10 d_m=5: analytic=")
         assert lines[0].endswith(" PASS")
         assert lines[1] == (
-            "link b=10 d_m=50: SKIP (near-certain outage: 1 - p_link = 8.94e-13, "
+            "link b=10 d_m=50: SKIP (near-certain outage: 1 - p_link = 8.88e-13, "
             "the simulation could exceed its round cap)"
         )
         assert lines[2] == "validate: 1/2 links PASS, 1 SKIP (trials=10000, seed=1)"
@@ -340,11 +340,11 @@ class TestValidate:
         simulate = cli.monte_carlo_outage
         threads = set()
 
-        def unclearable_at_25_m(link, prop, trials, seed):
+        def unclearable_at_25_m(link, prop, trials, seed, **stop):
             threads.add(threading.get_ident())
             if link.distance_m == 25.0:
                 link = replace(link, pmin_dbm=link.pmin_dbm + 100.0)
-            return simulate(link, prop, trials, seed)
+            return simulate(link, prop, trials, seed, **stop)
 
         monkeypatch.setattr(cli, "monte_carlo_outage", unclearable_at_25_m)
         cfg = tmp_path / "cfg.txt"
@@ -378,10 +378,10 @@ class TestValidate:
         simulate = cli.monte_carlo_outage
         calls = []
 
-        def slow(*args):
+        def slow(*args, **stop):
             calls.append(args)
             time.sleep(0.2)
-            return simulate(*args)
+            return simulate(*args, **stop)
 
         def interrupted(futures):
             raise KeyboardInterrupt
@@ -392,13 +392,50 @@ class TestValidate:
             main(["validate", "--trials", "10000"])
         assert len(calls) <= 1
 
+    def test_interrupt_stops_the_running_links(self, monkeypatch):
+        # every simulation gets the stop event, which an interrupt sets; a
+        # link started after it ends at its first chunk, unfinished
+        simulate = cli.monte_carlo_outage
+        started = threading.Event()
+        outcomes = []
+
+        def recorded(*args, stop):
+            started.set()
+            try:
+                outcomes.append(simulate(*args, stop=stop))
+            except channel.MonteCarloStopped as exc:
+                outcomes.append(exc)
+                raise
+
+        def interrupted(futures):
+            started.wait(5.0)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "monte_carlo_outage", recorded)
+        monkeypatch.setattr(concurrent.futures, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["validate", "--trials", "20000000"])
+        # 2e7 trials are over a thousand chunks: no link could finish
+        assert outcomes
+        assert all(isinstance(outcome, channel.MonteCarloStopped) for outcome in outcomes)
+
+    def test_report_does_not_depend_on_grid_order(self, tmp_path, capsys):
+        reports = []
+        for grids in ("b_grid = 2,6\nd_grid_m = 25,50\n", "b_grid = 6,2\nd_grid_m = 50,25\n"):
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(grids + "trials = 10000\n")
+            assert main(["validate", "--config", str(cfg)]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert reports[0].splitlines()[0].startswith("link b=2 d_m=25: analytic=")
+
     def test_rare_outage_observed_once_passes(self, capsys):
         # b = 4 at 50 m has p_link = 5.8e-7: at 1e4 trials a single outage
         # is 13 sigma out for a normal bound, yet its exact tail is 5.8e-3
         assert main(["validate", "--trials", "10000", "--seed", "11"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[7] == (
-            "link b=4 d_m=50: analytic=5.826016e-07 empirical=1.000000e-04 "
+            "link b=4 d_m=50: analytic=5.826039e-07 empirical=1.000000e-04 "
             "mean_count=1.000100 expected_count=1.000001 PASS"
         )
         assert lines[-1] == "validate: 25/25 links PASS (trials=10000, seed=11)"
@@ -720,20 +757,20 @@ class TestRouteSearchErrors:
             "ttr_s = 1e308\nb_grid = 4,6,8\n", EXIT_OK, {
                 "multihop": [
                     "infeasible grid point b=8 ber=0.0001: route 000010000 is unusable: its"
-                    " total energy 1.0138461675621808e+303 J/bit or delay inf s overflows",
+                    " total energy 1.0138462036613207e+303 J/bit or delay inf s overflows",
                 ],
                 "joint": [
                     "infeasible grid point b=4 ber=0.0001 pt_mw=5: route 000010000 is"
-                    " unusable: its total energy 1.0813842982313674e+303 J/bit or delay inf s"
+                    " unusable: its total energy 1.0813844241817965e+303 J/bit or delay inf s"
                     " overflows",
                     "infeasible grid point b=6 ber=0.0001 pt_mw=5: route 001001000 is"
-                    " unusable: its total energy 1.6376766038078598e+303 J/bit or delay inf s"
+                    " unusable: its total energy 1.6376766422460037e+303 J/bit or delay inf s"
                     " overflows",
-                    "infeasible grid point b=8 ber=0.0001 pt_mw=5: route 010100100 is"
-                    " unusable: its total energy 2.3954795561336068e+303 J/bit or delay inf s"
+                    "infeasible grid point b=8 ber=0.0001 pt_mw=5: route 010010010 is"
+                    " unusable: its total energy 2.3954802386813167e+303 J/bit or delay inf s"
                     " overflows",
                     "infeasible grid point b=8 ber=0.0001 pt_mw=100: route 000010000 is"
-                    " unusable: its total energy 1.0138461675621808e+303 J/bit or delay inf s"
+                    " unusable: its total energy 1.0138462036613207e+303 J/bit or delay inf s"
                     " overflows",
                 ],
             }),

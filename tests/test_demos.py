@@ -2,9 +2,8 @@
 
 `tests/golden/demos/` holds the standard output of each script in
 `demos/`. When a change is meant to move a printed figure, regenerate the
-file and say which figures moved and why:
-
-    python demos/01_shadowing_outage.py > tests/golden/demos/01_shadowing_outage.stdout
+files with `python tests/regen_golden.py` and say which figures moved and
+why.
 """
 
 import os

@@ -5,12 +5,11 @@
 and both objectives, `joint`, which sweeps fixed powers only) and the
 standard output of `validate`. A
 change that moves any printed digit of these runs fails here; when the
-move is intended, regenerate the files with the commands below and say
-which digits moved and why.
+move is intended, rewrite every golden file from `SWEEPS` with
 
-    python -m mqamlink singlehop --policy fixed --out tests/golden/singlehop_fixed.csv \\
-        > tests/golden/singlehop_fixed.stdout
-    python -m mqamlink validate > tests/golden/validate.stdout
+    python tests/regen_golden.py
+
+and say which digits moved and why.
 """
 
 from pathlib import Path

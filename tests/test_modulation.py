@@ -4,10 +4,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import mqamlink.modulation as modulation
-from ber_oracle import instantaneous_ser, quadrature_avg_ber
+from ber_oracle import instantaneous_ser
 from mqamlink.energy import link_metrics
 from mqamlink.modulation import (
     ALLOWED_BITS_PER_SYMBOL,
@@ -52,6 +54,23 @@ def mpmath_avg_ber(gamma_b_bar, b, integral=False):
             i_half = (mpmath.pi / 2) * (1 - root)
             i_quarter = mpmath.pi / 4 - root * mpmath.acot(root)
         return (4 * a / (mpmath.pi * b)) * i_half - (4 * a * a / (mpmath.pi * b)) * i_quarter
+
+
+def mpmath_inverse(pb, b):
+    """Independent oracle: the mean bit SNR at which the 50-digit textbook
+    closed form equals pb, from a bracketing root search in mu on [0, 1]."""
+    with mpmath.workdps(50):
+        m = 2**b
+        a = 1 - 1 / mpmath.sqrt(m)
+
+        def ber(mu):
+            i_quarter = mpmath.pi / 4 - (mu * mpmath.acot(mu) if mu else 0)
+            return (4 * a / (mpmath.pi * b)) * (mpmath.pi / 2) * (1 - mu) \
+                - (4 * a * a / (mpmath.pi * b)) * i_quarter
+
+        mu = mpmath.findroot(lambda x: ber(x) - pb, (mpmath.mpf(0), mpmath.mpf(1)),
+                             solver="anderson")
+        return 2 * (m - 1) * mu**2 / (3 * b * (1 - mu**2))
 
 
 def rayleigh_averaged_ber(gamma_b_bar, scheme):
@@ -180,30 +199,91 @@ class TestRequiredGamma:
         with pytest.raises(InfeasibleTargetError):
             required_gamma_b(BerTarget(0.2), ModulationScheme(10))
 
-    def test_bisection_bitwise_equal_under_quadrature_oracle(self, monkeypatch):
-        # The production bracket and bisection run twice, once on the closed
-        # form and once on the 64-node Gauss-Legendre curve; for regular
-        # targets every returned SNR must be the same double, so that the
-        # closed form moves no digit of any inversion.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(b=st.sampled_from(ALLOWED_BITS_PER_SYMBOL),
+           depth=st.floats(0.0, 1.0, exclude_max=True))
+    @example(b=10, depth=1.0 - 2.0**-53)
+    @example(b=2, depth=0.0)
+    def test_inverse_matches_mpmath_inverse(self, b, depth):
+        # P_b log-uniform in [1e-12, ceiling): the SNR itself, not only the
+        # BER it gives, agrees with the 50-digit inverse up to the ceiling
+        scheme = ModulationScheme(b)
+        ceiling = avg_ber(0.0, scheme)
+        pb = 10.0 ** (-12.0 + depth * (math.log10(ceiling) + 12.0))
+        assume(pb < ceiling)
+        gamma = modulation._required_gamma_b(pb, b)
+        want = mpmath_inverse(pb, b)
+        assert float(abs(gamma - want) / want) <= 1e-12
+        assert abs(avg_ber(gamma, scheme) / pb - 1.0) <= modulation.INVERSION_REL_BOUND
+
+    @pytest.mark.parametrize("b", ALLOWED_BITS_PER_SYMBOL)
+    def test_exact_ceiling_needs_no_snr_and_above_is_infeasible(self, b):
+        # b = 2 reaches 0.375, which BerTarget excludes, so the cached
+        # solve is called directly
         invert = modulation._required_gamma_b.__wrapped__
-        rng = np.random.default_rng(41)
-        cases = [
-            (float(10 ** rng.uniform(-6, -2)), b)
-            for b in ALLOWED_BITS_PER_SYMBOL
-            for _ in range(10)
-        ]
-        closed = [invert(pb, b).hex() for pb, b in cases]
-        monkeypatch.setattr(modulation, "avg_ber", quadrature_avg_ber)
-        quadrature = [invert(pb, b).hex() for pb, b in cases]
-        assert closed == quadrature
+        ceiling = avg_ber(0.0, ModulationScheme(b))
+        assert invert(ceiling, b) == 0.0
+        with pytest.raises(InfeasibleTargetError, match="zero-SNR ceiling"):
+            invert(math.nextafter(ceiling, 1.0), b)
+        below = math.nextafter(ceiling, 0.0)
+        gamma = invert(below, b)
+        assert 0.0 < gamma < 1e-20
+        assert avg_ber(gamma, ModulationScheme(b)) == pytest.approx(below, rel=1e-15)
+
+    def test_targets_below_the_floor_are_infeasible(self):
+        invert = modulation._required_gamma_b.__wrapped__
+        for b in ALLOWED_BITS_PER_SYMBOL:
+            gamma = invert(1e-300, b)
+            assert avg_ber(gamma, ModulationScheme(b)) == pytest.approx(1e-300, rel=1e-12)
+            for pb in (math.nextafter(1e-300, 0.0), 5e-324):
+                with pytest.raises(InfeasibleTargetError, match="below 1e-300"):
+                    invert(pb, b)
+
+    def test_few_evaluations_per_cold_inversion(self, monkeypatch):
+        # every evaluation of the curve, confirmation included, goes through
+        # one of the two bodies; avg_ber runs once, for the confirmation
+        counts = {"curve": 0, "avg_ber": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_ber_at_eps", "_ceiling_gap"):
+            monkeypatch.setattr(modulation, name, counted(getattr(modulation, name), "curve"))
+        monkeypatch.setattr(modulation, "avg_ber", counted(modulation.avg_ber, "avg_ber"))
+        invert = modulation._required_gamma_b.__wrapped__
+        rng = np.random.default_rng(43)
+        worst = 0
+        for _ in range(2000):
+            b = int(rng.choice(ALLOWED_BITS_PER_SYMBOL))
+            ceiling = avg_ber(0.0, ModulationScheme(b))
+            pb = ceiling * 10.0 ** float(rng.uniform(-15.0, 0.0))
+            if pb >= ceiling:
+                continue
+            counts.update(curve=0, avg_ber=0)
+            invert(pb, b)
+            assert counts["avg_ber"] == 1
+            worst = max(worst, counts["curve"])
+        assert worst <= 15
+
+    def test_missed_confirmation_raises(self, monkeypatch):
+        # a curve that disagrees with the solve by 2e-12 fails the stated bound
+        true_ber = modulation.avg_ber
+        monkeypatch.setattr(modulation, "avg_ber", lambda g, s: true_ber(g, s) * (1.0 + 2e-12))
+        with pytest.raises(ArithmeticError, match="not within 1e-12 relative"):
+            modulation._required_gamma_b.__wrapped__(1e-4, 6)
 
     def test_inversion_cache_is_bounded(self):
         assert modulation._required_gamma_b.cache_info().maxsize == 256
 
-    def test_one_tolerance(self):
-        # the inversion has no tolerance parameter: DEFAULT_BER_TOL is the only one
+    def test_one_stated_bound(self):
+        # the inversion takes no tolerance: its one bound is the stated one
         assert list(inspect.signature(required_gamma_b).parameters) == ["target", "scheme"]
         assert "tol" not in inspect.signature(link_metrics).parameters
+        assert modulation.INVERSION_REL_BOUND == 1e-12
+        assert not hasattr(modulation, "DEFAULT_BER_TOL")
 
 
 class TestMinReceivedPower:
