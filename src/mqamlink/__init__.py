@@ -28,8 +28,6 @@ from .energy import (
     VariablePower,
     amplifier_overhead,
     energy_to_dbmj,
-    expected_link_delay,
-    expected_link_energy,
     link_metrics,
     on_time,
     single_tx_energy_per_bit,
@@ -75,8 +73,6 @@ __all__ = [
     "amplifier_overhead",
     "on_time",
     "single_tx_energy_per_bit",
-    "expected_link_energy",
-    "expected_link_delay",
     "link_metrics",
     "energy_to_dbmj",
     "ModulationScheme",

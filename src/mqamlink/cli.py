@@ -10,8 +10,9 @@ a thread pool sized to the usable CPUs, and its report is the same for
 any pool size. Exit codes: 0 success, 1 config error, 2 every grid
 point infeasible (for `validate`: every link skipped as infeasible,
 unreachable or in near-certain outage), 3 validation failure (a
-simulation reaching its round cap included). Each subcommand takes only
-the flags it reads, and argparse exits 2 with a usage line on any other.
+simulation reaching its round cap included), 130 interrupted (Ctrl-C:
+`interrupted` on stderr, no traceback). Each subcommand takes only the
+flags it reads, and argparse exits 2 with a usage line on any other.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERRUPTED = 130  # the shell's code for a run ended by SIGINT
 
 _SINGLEHOP_COLUMNS = (
     "policy", "b", "d_m", "pt_dbm", "pmin_dbm", "p_link",
@@ -325,4 +327,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        sys.exit(EXIT_INTERRUPTED)

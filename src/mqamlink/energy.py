@@ -6,10 +6,11 @@ treated as zero. Failed attempts are repeated until success, so the
 expected cost scales by 1/(1 - p_link), and the same geometric factor
 applies to the per-link delay.
 
-A hop's cost splits in two: `threshold` depends only on the
-constellation and the BER target, and the function that `hop_costs`
-returns takes the hop's length. A route search computes the first once
-and calls the second once per gap; `link_metrics` is the two in turn.
+One function, `hop_costs`, evaluates a hop. It resolves what does not
+depend on the hop's length once (the BER inversion, the receive
+threshold, the attempt time) and returns the function of the length. A
+route search calls it once and the returned function once per gap;
+`link_metrics` calls both for one hop.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ __all__ = [
     "amplifier_overhead",
     "on_time",
     "single_tx_energy_per_bit",
-    "expected_link_energy",
-    "expected_link_delay",
-    "threshold",
-    "hop_unusable",
     "hop_costs",
     "link_metrics",
     "energy_to_dbmj",
@@ -142,118 +139,77 @@ def single_tx_energy_per_bit(
     return packet_energy / radio.packet_bits
 
 
-def _per_delivery(per_attempt: float, p_link: float) -> float:
-    """Expectation over hop-by-hop retransmissions of a per-attempt cost."""
-    if not 0.0 <= p_link < 1.0:
-        raise ValueError(f"p_link must lie in [0, 1), got {p_link}")
-    return per_attempt / (1.0 - p_link)
-
-
-def _attempt_time(
-    radio: RadioConfig, scheme: ModulationScheme, circuit: CircuitProfile, t_r_s: float | None
-) -> float:
-    """On-air time of one attempt plus its overhead t_r_s, which defaults
-    to the transient duration."""
-    return on_time(radio, scheme) + (circuit.ttr_s if t_r_s is None else t_r_s)
-
-
-def expected_link_energy(e_single: float, p_link: float) -> float:
-    """Expected energy over hop-by-hop retransmissions: e_single / (1 - p_link)."""
-    return _per_delivery(e_single, p_link)
-
-
-def expected_link_delay(
-    radio: RadioConfig,
-    scheme: ModulationScheme,
-    circuit: CircuitProfile,
-    p_link: float,
-    t_r_s: float | None = None,
-) -> float:
-    """Expected per-packet delay (s) over retransmissions.
-
-    Each attempt costs the on-air time plus a per-attempt overhead t_r_s,
-    which defaults to the transient duration.
-    """
-    return _per_delivery(_attempt_time(radio, scheme, circuit, t_r_s), p_link)
-
-
-def threshold(
-    scheme: ModulationScheme, target: BerTarget, radio: RadioConfig
-) -> tuple[float, float]:
-    """Required mean bit SNR and receive threshold: (gamma_b_bar, pmin_dbm).
-
-    Independent of the hop, so a route search resolves it once. Raises
-    InfeasibleTargetError for a target the constellation cannot meet, and
-    UnreachableLinkError when the threshold has no finite dBm value; that
-    error's message is the reason every hop is unusable, for
-    `hop_unusable` to attach to a hop.
-    """
-    gamma = required_gamma_b(target, scheme)
-    pmin_w = min_received_power_watts(gamma, scheme, radio)
-    pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
-    if not math.isfinite(pmin_dbm):
-        raise UnreachableLinkError(f"its receive threshold {pmin_w} W has no finite dBm value")
-    return gamma, pmin_dbm
-
-
-def hop_unusable(distance_m: float, reason: object) -> UnreachableLinkError:
-    """The error for a hop of this length that cannot carry traffic."""
+def _hop_unusable(distance_m: float, reason: str) -> UnreachableLinkError:
     return UnreachableLinkError(f"{distance_m} m hop is unusable: {reason}")
 
 
 def hop_costs(
     policy: PowerPolicy,
     scheme: ModulationScheme,
-    pmin_dbm: float,
+    target: BerTarget,
     circuit: CircuitProfile,
     radio: RadioConfig,
     prop: PropagationParams,
     t_r_s: float | None = None,
-) -> Callable[[float], tuple[float, float, float, float]]:
-    """A hop's figures at the receive threshold pmin_dbm, as a function of
-    its length: `cost(distance_m) -> (p_link, energy_per_bit, delay,
-    pt_dbm)`, the leading fields of LinkMetrics.
+) -> Callable[[float], tuple[float, float, float, float, float, float]]:
+    """A hop's figures as a function of its length: `cost(distance_m)`
+    returns the fields of LinkMetrics, in their declaration order, as a
+    plain tuple.
 
     The parts that do not depend on the length are computed here, once:
-    the attempt time, and under a fixed policy the transmit power and the
-    single-attempt energy. A variable-power hop lands exactly on the
-    threshold, so its outage probability is 1/2. `cost` raises
-    UnreachableLinkError for a hop shorter than d0, one whose outage
-    probability rounds to 1, and one whose transmit power, energy or
-    delay falls outside the double range.
+    the required mean bit SNR and the receive threshold, the time of one
+    attempt (on-air time plus the overhead t_r_s, which defaults to the
+    transient duration), and under a fixed policy the transmit power and
+    the single-attempt energy. A variable-power hop lands exactly on the
+    threshold, so its outage probability is 1/2. Failed attempts repeat
+    until success, so energy and delay are the per-attempt figures over
+    1 - p_link.
+
+    Raises InfeasibleTargetError here for a target the constellation
+    cannot meet. `cost` raises UnreachableLinkError for a hop whose
+    receive threshold has no finite dBm value, one shorter than d0, one
+    whose outage probability rounds to 1, and one whose transmit power,
+    energy or delay falls outside the double range.
     """
-    attempt_s = _attempt_time(radio, scheme, circuit, t_r_s)
+    gamma = required_gamma_b(target, scheme)
+    pmin_w = min_received_power_watts(gamma, scheme, radio)
+    pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
+    attempt_s = on_time(radio, scheme) + (circuit.ttr_s if t_r_s is None else t_r_s)
     fixed = None
     if isinstance(policy, FixedPower):
         # a FixedPower is positive and finite, so its dBm value is finite
         fixed = (watts_to_dbm(policy.pt_watts),
                  single_tx_energy_per_bit(policy.pt_watts, scheme, circuit, radio))
 
-    def cost(distance_m: float) -> tuple[float, float, float, float]:
+    def cost(distance_m: float) -> tuple[float, float, float, float, float, float]:
+        if not math.isfinite(pmin_dbm):
+            raise _hop_unusable(
+                distance_m, f"its receive threshold {pmin_w} W has no finite dBm value"
+            )
         if fixed is not None:
             pt_dbm, e_single = fixed
         else:
             pt_dbm = required_pt_dbm(pmin_dbm, distance_m, prop)
             pt_w = dbm_to_watts(pt_dbm)
             if not (pt_dbm < math.inf and pt_w < math.inf):
-                raise hop_unusable(
+                raise _hop_unusable(
                     distance_m, f"its transmit power {pt_dbm:.6g} dBm is beyond the double range"
                 )
             e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
         p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
         if p_link >= 1.0:
-            raise hop_unusable(
+            raise _hop_unusable(
                 distance_m, f"its outage probability rounds to 1 "
                 f"(P_t {pt_dbm:.6g} dBm, threshold {pmin_dbm:.6g} dBm)"
             )
-        energy = expected_link_energy(e_single, p_link)
-        delay = _per_delivery(attempt_s, p_link)
+        energy = e_single / (1.0 - p_link)
+        delay = attempt_s / (1.0 - p_link)
         if not (0.0 < energy < math.inf and delay < math.inf):
-            raise hop_unusable(
+            raise _hop_unusable(
                 distance_m, f"its expected energy {energy} J/bit "
                 f"or delay {delay} s is outside the double range"
             )
-        return p_link, energy, delay, pt_dbm
+        return p_link, energy, delay, pt_dbm, pmin_dbm, gamma
 
     return cost
 
@@ -268,23 +224,11 @@ def link_metrics(
     prop: PropagationParams,
     t_r_s: float | None = None,
 ) -> LinkMetrics:
-    """Full per-hop pipeline from BER constraint to expected energy and delay.
-
-    Resolves the required mean bit SNR, converts it to a receive-power
-    threshold, applies the power policy (a variable-power link lands
-    exactly on the threshold, so its outage probability is 1/2), and
-    folds the outage probability into the retransmission expectations:
-    `threshold`, then `hop_costs`. Raises UnreachableLinkError for a hop
-    shorter than d0, one whose outage probability rounds to 1, and one
-    whose receive threshold, transmit power, energy or delay falls
-    outside the double range.
+    """Full per-hop pipeline from BER constraint to expected energy and
+    delay: `hop_costs` evaluated at one length. Raises as `hop_costs` and
+    its `cost` do.
     """
-    try:
-        gamma, pmin_dbm = threshold(scheme, target, radio)
-    except UnreachableLinkError as exc:
-        raise hop_unusable(distance_m, exc) from exc
-    cost = hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)
-    return LinkMetrics(*cost(distance_m), pmin_dbm, gamma)
+    return LinkMetrics(*hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)(distance_m))
 
 
 def energy_to_dbmj(energy_j: float) -> float:

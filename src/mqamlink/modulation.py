@@ -102,12 +102,6 @@ class RadioConfig:
             raise ValueError(f"packet_bits must be positive and fit a float: {self.packet_bits}")
 
 
-def _mgf_fraction(gamma_b_bar: float, scheme: ModulationScheme) -> float:
-    """Coefficient c in the integrand sin^2/(sin^2 + c)."""
-    m = scheme.m
-    return 3.0 * gamma_b_bar * scheme.b / (2.0 * (m - 1))
-
-
 def _ber_at_eps(eps: float, mu: float, a: float, b: int) -> tuple[float, float]:
     """Average BER at eps = 1 - mu, and its slope d(BER)/d(eps).
 
@@ -140,20 +134,27 @@ def _ceiling_gap(mu: float, a: float, b: int) -> tuple[float, float]:
 def avg_ber(gamma_b_bar: float, scheme: ModulationScheme) -> float:
     """Average BER of square MQAM over Rayleigh fading at mean bit SNR gamma_b_bar.
 
-    The MGF integrals of sin^2/(sin^2 + c) over [0, pi/2] and [0, pi/4]
-    equal (pi/2)*eps and (pi/4)*eps - mu*atan(eps/(2 - eps)), with
+    With c = 3*gamma_b_bar*b/(2(M - 1)), the MGF integrals of
+    sin^2/(sin^2 + c) over [0, pi/2] and [0, pi/4] equal (pi/2)*eps and (pi/4)*eps - mu*atan(eps/(2 - eps)), with
     mu = sqrt(c/(1+c)) and eps = 1 - mu = 1/((1+c)(1+mu)); the second
     uses atan(1/mu) = pi/4 + atan(eps/(2 - eps)). No step subtracts
     nearly equal numbers, so the result is accurate to a few ulps for
     every finite gamma_b_bar >= 0, and exact at 0: (2a - a^2)/b with
-    a = 1 - 1/sqrt(M). Strictly decreasing, tending to 0 as the SNR grows.
+    a = 1 - 1/sqrt(M). Where c or (1+c)(1+mu) overflows, near the top of
+    the double range, mu and eps come from r = 1/c instead:
+    mu = 1/sqrt(1+r) and eps = r/((1+r)(1+mu)). Strictly decreasing,
+    tending to 0 as the SNR grows; subnormal at the largest SNRs.
     """
     if not 0.0 <= gamma_b_bar < math.inf:
         raise ValueError(f"gamma_b_bar must be finite and nonnegative, got {gamma_b_bar}")
     a = 1.0 - 1.0 / math.sqrt(scheme.m)
-    c = _mgf_fraction(gamma_b_bar, scheme)
+    c = 3.0 * gamma_b_bar * scheme.b / (2.0 * (scheme.m - 1))
     mu = math.sqrt(c / (1.0 + c))
     eps = 1.0 / ((1.0 + c) * (1.0 + mu))
+    if not eps > 0.0:  # 0 when the product overflows, nan when c does
+        r = (2.0 * (scheme.m - 1) / (3.0 * scheme.b)) / gamma_b_bar
+        mu = 1.0 / math.sqrt(1.0 + r)
+        eps = r / ((1.0 + r) * (1.0 + mu))
     return _ber_at_eps(eps, mu, a, scheme.b)[0]
 
 

@@ -5,13 +5,13 @@ or sleeping; a route is the bitmask of forwarding relays, giving 2^N
 candidates. Route cost is the sum of independent per-hop costs that
 depend only on the hop's index gap, so the cheapest route is a shortest
 path over the N+2 nodes (`shortest_route`), found in O(N^2) from one
-receive threshold and N+1 hop evaluations.
+`energy.hop_costs` call and N+1 evaluations of the hop it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .channel import PropagationParams, UnreachableLinkError
@@ -20,9 +20,7 @@ from .energy import (
     LinkMetrics,
     PowerPolicy,
     hop_costs,
-    hop_unusable,
     link_metrics,
-    threshold,
 )
 from .modulation import BerTarget, ModulationScheme, RadioConfig
 from .numerics import require_positive
@@ -40,8 +38,12 @@ __all__ = [
 
 MAX_RELAYS = 30
 
-# route objective -> the place in a `hop_costs` tuple of the figure it sums
-_HOP_COST_INDEX = {"energy": 1, "delay": 2}
+# route objective -> the place in a `hop_costs` tuple, which follows the
+# LinkMetrics fields, of the figure it sums
+_HOP_COST_INDEX = {
+    objective: [f.name for f in fields(LinkMetrics)].index(name)
+    for objective, name in (("energy", "energy_per_bit"), ("delay", "delay"))
+}
 
 
 @dataclass(frozen=True)
@@ -85,36 +87,29 @@ class RouteResult:
     per_hop: tuple[LinkMetrics, ...]
 
 
-def _node_indices(mask: int, relay_count: int) -> list[int]:
-    """Active node indices on the line: source 0, relays 1..N, destination N+1."""
-    nodes = [0]
-    for i in range(relay_count):
-        if mask >> i & 1:
-            nodes.append(i + 1)
-    nodes.append(relay_count + 1)
-    return nodes
-
-
-def _hop_gaps(mask: int, relay_count: int) -> list[int]:
-    nodes = _node_indices(mask, relay_count)
-    return [nodes[k + 1] - nodes[k] for k in range(len(nodes) - 1)]
+def _hop_gaps(route: Route, net: LinearNetwork) -> list[int]:
+    """Index gaps between consecutive forwarding nodes on the line (source
+    0, relays 1..N, destination N+1); they sum to N + 1."""
+    if not 0 <= route.active_mask < 2**net.relay_count:
+        raise ValueError(
+            f"mask {route.active_mask} out of range for {net.relay_count} relays"
+        )
+    relays = (i + 1 for i in range(net.relay_count) if route.active_mask >> i & 1)
+    nodes = [0, *relays, net.relay_count + 1]
+    return [right - left for left, right in zip(nodes, nodes[1:])]
 
 
 def route_hops(route: Route, net: LinearNetwork) -> list[float]:
     """Hop distances (m) between consecutive forwarding nodes; they sum to
     the total span."""
-    if not 0 <= route.active_mask < 2**net.relay_count:
-        raise ValueError(
-            f"mask {route.active_mask} out of range for {net.relay_count} relays"
-        )
-    return [gap * net.spacing_m for gap in _hop_gaps(route.active_mask, net.relay_count)]
+    return [gap * net.spacing_m for gap in _hop_gaps(route, net)]
 
 
 def _assemble(route: Route, net: LinearNetwork, metrics: dict[int, LinkMetrics]) -> RouteResult:
     energy = 0.0
     delay = 0.0
     per_hop = []
-    for gap in _hop_gaps(route.active_mask, net.relay_count):
+    for gap in _hop_gaps(route, net):
         hop = metrics[gap]
         energy += hop.energy_per_bit
         delay += hop.delay
@@ -143,15 +138,11 @@ def route_cost(
     Raises UnreachableLinkError when one of the route's hops cannot carry
     traffic, or when its total energy or delay overflows.
     """
-    if not 0 <= route.active_mask < 2**net.relay_count:
-        raise ValueError(
-            f"mask {route.active_mask} out of range for {net.relay_count} relays"
-        )
     metrics = {
         gap: link_metrics(
             gap * net.spacing_m, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s
         )
-        for gap in set(_hop_gaps(route.active_mask, net.relay_count))
+        for gap in set(_hop_gaps(route, net))
     }
     return _assemble(route, net, metrics)
 
@@ -213,9 +204,10 @@ def optimal_route(
     Nodes along the line (source 0, relays 1..N, destination N+1) form a
     DAG whose edge (i, j) is one hop of length (j - i) * spacing; additive
     hop costs make the shortest path the cheapest route, with the tie rule
-    of `shortest_route`. The receive threshold is resolved once and each
-    of the N + 1 hop lengths evaluated once. A gap whose hop cannot carry
-    traffic (shorter than d0, or outage rounding to 1) is no edge.
+    of `shortest_route`. One `hop_costs` call resolves the receive
+    threshold, and each of the N + 1 hop lengths is evaluated once. A gap
+    whose hop cannot carry traffic (a threshold with no finite dBm value,
+    shorter than d0, or outage rounding to 1) is no edge.
     UnreachableLinkError is raised when no route is left, quoting the
     direct hop's error, or when the cheapest route's total energy or delay
     overflows.
@@ -223,14 +215,9 @@ def optimal_route(
     if objective not in _HOP_COST_INDEX:
         raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
-    try:
-        gamma, pmin_dbm = threshold(scheme, target, radio)
-    except UnreachableLinkError as exc:
-        # no hop is usable at this threshold, the direct one included
-        raise _no_route(net, hop_unusable((n_nodes - 1) * net.spacing_m, exc)) from exc
-    cost = hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)
+    cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
     index = _HOP_COST_INDEX[objective]
-    costs: dict[int, tuple[float, float, float, float]] = {}
+    costs: dict[int, tuple[float, ...]] = {}
     hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
     unreachable: UnreachableLinkError | None = None
     for gap in range(1, n_nodes):
@@ -244,8 +231,5 @@ def optimal_route(
     if route is None:
         # the direct hop is then unusable too, and it was the last one tried
         raise _no_route(net, unreachable)
-    metrics = {
-        gap: LinkMetrics(*costs[gap], pmin_dbm, gamma)
-        for gap in set(_hop_gaps(route.active_mask, net.relay_count))
-    }
+    metrics = {gap: LinkMetrics(*costs[gap]) for gap in set(_hop_gaps(route, net))}
     return _assemble(route, net, metrics)

@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,12 @@ from mqamlink.energy import link_metrics
 from mqamlink.modulation import BerTarget, ModulationScheme
 from mqamlink.network import MAX_RELAYS
 from mqamlink.numerics import binomial_tail
+
+
+def _fresh_env():
+    """Environment for a fresh `python -m mqamlink` that imports this package."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
 
 
 def read_csv(path):
@@ -165,8 +172,7 @@ class TestFlags:
             captured = capsys.readouterr()
             in_process.append((code, captured.out, captured.err, out.read_bytes()))
             out.unlink()
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]))}
+        env = _fresh_env()
         for args, result in zip(runs, in_process):
             out = tmp_path / "fresh.csv"
             fresh = subprocess.run([sys.executable, "-m", "mqamlink", *args, "--out", str(out)],
@@ -610,6 +616,33 @@ class TestExitCodes:
         target = tmp_path / "no_dir" / "out.csv"
         assert main(["singlehop", "--out", str(target)]) == EXIT_CONFIG
 
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "main", interrupted)
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == cli.EXIT_INTERRUPTED == 130
+        assert capsys.readouterr() == ("", "interrupted\n")
+
+    def test_sigint_to_validate(self):
+        # 1e8 trials per link run for about a minute: the signal comes mid-run
+        child = subprocess.Popen(
+            [sys.executable, "-m", "mqamlink", "validate", "--trials", "100000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_fresh_env(),
+        )
+        try:
+            time.sleep(1.5)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert (out, err) == ("", "interrupted\n")
+        assert "Traceback" not in err
+
 
 class TestOverflow:
     """Finite configs whose hop or route quantities leave the double range
@@ -796,6 +829,25 @@ class TestRouteSearchErrors:
         out = tmp_path / "out.csv"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err.splitlines() == lines[command]
+
+    def test_nonfinite_threshold_names_each_hop(self, tmp_path, capsys):
+        # the hops that `singlehop` and `validate` evaluate one at a time
+        # report the threshold's error each at its own length
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(self.CASES["nonfinite_threshold"][0])
+        reason = "m hop is unusable: its receive threshold 0.0 W has no finite dBm value"
+        out = tmp_path / "out.csv"
+        assert main(["singlehop", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"infeasible grid point b=4 ber=0.234375 d_m={d}: {d}.0 {reason}"
+            for d in (5, 25, 50, 75, 100)
+        ]
+        assert main(["validate", "--config", str(cfg), "--trials", "10000"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[5:-1] == [
+            f"link b=4 d_m={d}: SKIP (unreachable: {d}.0 {reason})" for d in (5, 25, 50, 75, 100)
+        ]
+        assert lines[-1] == "validate: 5/10 links PASS, 5 SKIP (trials=10000, seed=1)"
 
 
 def _log_uniform():

@@ -21,17 +21,14 @@ from mqamlink.energy import (
     VariablePower,
     amplifier_overhead,
     energy_to_dbmj,
-    expected_link_delay,
-    expected_link_energy,
     hop_costs,
-    hop_unusable,
     link_metrics,
     on_time,
     single_tx_energy_per_bit,
-    threshold,
 )
 from mqamlink.modulation import (
     BerTarget,
+    InfeasibleTargetError,
     ModulationScheme,
     min_received_power_watts,
     required_gamma_b,
@@ -112,32 +109,41 @@ class TestSingleTxEnergy:
 
 
 class TestExpectations:
-    def test_energy_geometric_factors(self):
-        assert expected_link_energy(1e-5, 0.0) == 1e-5
-        assert expected_link_energy(1e-5, 0.5) == pytest.approx(2e-5, rel=1e-14)
-        assert expected_link_energy(1e-5, 0.9) == pytest.approx(1e-4, rel=1e-12)
+    """Energy and delay of a hop are the per-attempt figures over 1 - p_link."""
 
-    def test_energy_rejects_certain_outage(self):
-        with pytest.raises(ValueError):
-            expected_link_energy(1e-5, 1.0)
-
-    def test_delay_reference(self, circuit, radio):
+    def test_energy_geometric_factors(self, circuit, radio, prop):
         scheme = ModulationScheme(2)
-        assert expected_link_delay(radio, scheme, circuit, 0.0) == pytest.approx(
-            1.000005, rel=1e-12
-        )
-        assert expected_link_delay(radio, scheme, circuit, 0.5) == pytest.approx(
-            2 * 1.000005, rel=1e-12
-        )
+        single = single_tx_energy_per_bit(0.1, scheme, circuit, radio)
+        for d, p_range in ((5.0, (0.0, 1e-12)), (300.0, (0.3, 0.7)), (400.0, (0.85, 0.99))):
+            m = link_metrics(d, FixedPower(0.1), scheme, BerTarget(1e-4), circuit, radio, prop)
+            assert p_range[0] <= m.p_link <= p_range[1]
+            assert m.energy_per_bit == pytest.approx(single / (1.0 - m.p_link), rel=1e-14)
 
-    def test_delay_overhead_override(self, circuit, radio):
+    def test_energy_rejects_certain_outage(self, circuit, radio, prop):
+        # 4-QAM at 100 mW over 10 km: the outage probability rounds to 1
+        with pytest.raises(UnreachableLinkError, match="rounds to 1"):
+            link_metrics(10_000.0, FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
+                         circuit, radio, prop)
+
+    def test_delay_reference(self, circuit, radio, prop):
+        # b = 2: one attempt is 1 s on air plus the 5 us transient
         scheme = ModulationScheme(2)
-        value = expected_link_delay(radio, scheme, circuit, 0.0, t_r_s=0.25)
-        assert value == pytest.approx(1.25, rel=1e-12)
+        near = link_metrics(5.0, FixedPower(0.1), scheme, BerTarget(1e-4), circuit, radio, prop)
+        assert near.delay == pytest.approx(1.000005, rel=1e-12)
+        # the variable policy fails half the attempts
+        m = link_metrics(50.0, VariablePower(), scheme, BerTarget(1e-4), circuit, radio, prop)
+        assert m.delay == pytest.approx(2 * 1.000005, rel=1e-12)
 
-    def test_delay_rejects_certain_outage(self, circuit, radio):
-        with pytest.raises(ValueError):
-            expected_link_delay(radio, ModulationScheme(2), circuit, 1.0)
+    def test_delay_overhead_override(self, circuit, radio, prop):
+        m = link_metrics(50.0, VariablePower(), ModulationScheme(2), BerTarget(1e-4),
+                         circuit, radio, prop, t_r_s=0.25)
+        assert m.delay == pytest.approx(2 * 1.25, rel=1e-12)
+
+    def test_delay_rejects_certain_outage(self, circuit, radio, prop):
+        cost = hop_costs(FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
+                         circuit, radio, prop, t_r_s=0.25)
+        with pytest.raises(UnreachableLinkError, match="rounds to 1"):
+            cost(10_000.0)
 
 
 class TestLinkMetrics:
@@ -217,8 +223,8 @@ class TestLinkMetrics:
 
 
 def _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=None):
-    """The per-hop arithmetic in one pass, in the order it had before the
-    threshold and the hop were split: the reference for bit-for-bit checks."""
+    """The per-hop arithmetic in one pass, written out step by step: the
+    reference for bit-for-bit checks."""
     gamma = required_gamma_b(target, scheme)
     pmin_dbm = watts_to_dbm(min_received_power_watts(gamma, scheme, radio))
     if isinstance(policy, FixedPower):
@@ -240,24 +246,24 @@ def _bits(m):
 
 
 class TestThresholdAndHop:
-    """`threshold` then `hop_costs` is `link_metrics`, bit for bit in every
-    field, and both are the one-pass arithmetic."""
+    """`hop_costs` resolves the threshold and the function it returns the
+    hop: that tuple is `link_metrics` bit for bit in every field, and both
+    are the one-pass arithmetic."""
 
     @staticmethod
     def outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s):
+        cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
         try:
             via_link = link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s)
         except UnreachableLinkError as exc:
-            with pytest.raises(UnreachableLinkError) as split_exc:
-                gamma, pmin_dbm = threshold(scheme, target, radio)
-                hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)(d)
-            assert str(split_exc.value) == str(exc)
+            with pytest.raises(UnreachableLinkError) as cost_exc:
+                cost(d)
+            assert str(cost_exc.value) == str(exc)
             return None
-        gamma, pmin_dbm = threshold(scheme, target, radio)
-        cost = hop_costs(policy, scheme, pmin_dbm, circuit, radio, prop, t_r_s)
-        via_split = LinkMetrics(*cost(d), pmin_dbm, gamma)
+        via_cost = cost(d)
+        assert type(via_cost) is tuple
         reference = _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s)
-        assert _bits(via_split) == _bits(via_link) == _bits(reference)
+        assert _bits(LinkMetrics(*via_cost)) == _bits(via_link) == _bits(reference)
         return via_link
 
     @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
@@ -290,14 +296,25 @@ class TestThresholdAndHop:
         # saturated hops take the error path, and most points do not
         assert 0 < errors < 100
 
-    def test_threshold_names_no_hop(self, radio):
-        # b = 4 meets this target at zero SNR: a 0 W threshold
-        with pytest.raises(UnreachableLinkError) as exc:
-            threshold(ModulationScheme(4), BerTarget(0.234375), radio)
-        assert str(exc.value) == "its receive threshold 0.0 W has no finite dBm value"
-        assert str(hop_unusable(7.5, exc.value)) == (
-            "7.5 m hop is unusable: its receive threshold 0.0 W has no finite dBm value"
-        )
+    def test_threshold_names_no_hop(self, circuit, radio, prop):
+        # b = 4 meets this target at zero SNR: a 0 W threshold. `hop_costs`
+        # returns, and each hop evaluated reports it with its own length
+        message = "7.5 m hop is unusable: its receive threshold 0.0 W has no finite dBm value"
+        for policy in (FixedPower(0.1), VariablePower()):
+            args = (policy, ModulationScheme(4), BerTarget(0.234375), circuit, radio, prop)
+            cost = hop_costs(*args)
+            with pytest.raises(UnreachableLinkError) as exc:
+                cost(7.5)
+            assert str(exc.value) == message
+            with pytest.raises(UnreachableLinkError) as exc:
+                link_metrics(7.5, *args)
+            assert str(exc.value) == message
+
+    def test_infeasible_target_raises_on_the_call(self, circuit, radio, prop):
+        # 1024-QAM cannot reach 0.2 at any SNR: no hop function is returned
+        with pytest.raises(InfeasibleTargetError):
+            hop_costs(FixedPower(0.1), ModulationScheme(10), BerTarget(0.2),
+                      circuit, radio, prop)
 
 
 class TestDbmj:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -38,10 +39,12 @@ def closed_form_avg_ber(gamma_b_bar, b):
 
 
 def mpmath_avg_ber(gamma_b_bar, b, integral=False):
-    """Independent oracle at 50 digits: the textbook closed form, whose
-    cancellations cost far fewer digits than that, or (`integral`) the
-    MGF-form definition integrated by mpmath."""
-    with mpmath.workdps(50):
+    """Independent oracle to 50 digits: the textbook closed form, or
+    (`integral`) the MGF-form definition integrated by mpmath. The closed
+    form's 1 - root cancels about log10(gamma_b_bar) digits, which the
+    working precision adds on top of 50."""
+    lost = max(0, math.ceil(math.log10(gamma_b_bar))) if gamma_b_bar > 0 else 0
+    with mpmath.workdps(50 + lost):
         m = 2**b
         a = 1 - 1 / mpmath.sqrt(m)
         c = mpmath.mpf(3) * gamma_b_bar * b / (2 * (m - 1))
@@ -152,6 +155,44 @@ class TestAvgBer:
             want = mpmath_avg_ber(gamma, b, integral=True)
             worst = max(worst, float(abs(avg_ber(gamma, scheme) - want) / want))
         assert worst <= 1e-14
+
+    @pytest.mark.parametrize("b", ALLOWED_BITS_PER_SYMBOL)
+    def test_finite_at_the_top_of_the_double_range(self, b):
+        # c = 3*gamma*b/(2(M - 1)) overflows there, and so does (1+c)(1+mu)
+        scheme = ModulationScheme(b)
+        for gamma in (1e307, 1e308, sys.float_info.max):
+            got = avg_ber(gamma, scheme)
+            want = mpmath_avg_ber(gamma, b)
+            if want >= sys.float_info.min:
+                assert abs(got - want) <= 1e-13 * want
+            else:
+                # subnormal: a few units of the smallest subnormal, 5e-324
+                assert abs(got - want) <= 4 * 5e-324
+
+    @pytest.mark.parametrize("b", ALLOWED_BITS_PER_SYMBOL)
+    def test_non_increasing_across_the_overflow_switch(self, b):
+        # avg_ber switches to r = 1/c where 3*gamma*b overflows, within a
+        # few ulps of max/(3b); walk 200 neighbouring doubles across it
+        scheme = ModulationScheme(b)
+        gamma = sys.float_info.max / (3 * b)
+        for _ in range(100):
+            gamma = math.nextafter(gamma, 0.0)
+        values, overflowed = [], []
+        for _ in range(200):
+            overflowed.append(3.0 * gamma * b == math.inf)
+            values.append(avg_ber(gamma, scheme))
+            gamma = math.nextafter(gamma, math.inf)
+        switch = overflowed.index(True)
+        assert 0 < switch and all(overflowed[switch:])
+        assert values[switch] <= values[switch - 1]
+        # one SNR ulp moves the BER by about one ulp, so the evaluation's
+        # own rounding shows as single-ulp rises, on both sides alike
+        assert all(later - earlier <= math.ulp(earlier)
+                   for earlier, later in zip(values, values[1:]))
+        # and over the decades up to the largest double
+        grid = [10.0**e for e in range(300, 309)] + [sys.float_info.max]
+        values = [avg_ber(g, scheme) for g in grid]
+        assert all(0.0 < later < earlier for earlier, later in zip(values, values[1:]))
 
     def test_zero_snr_ceiling_is_exact(self):
         for b in ALLOWED_BITS_PER_SYMBOL:
