@@ -308,11 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(Path(args.config).read_text() if args.config is not None else "")
-    except (ConfigError, OSError) as exc:
+        config = parse_config(Path(args.config).read_text(encoding="utf-8")
+                              if args.config is not None else "")
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # validity does not depend on these keys; `validate` checks seed and trials
+    # validity does not depend on these keys: no command line carries the NUL
+    # byte that output_path may not hold, and `validate` checks seed and trials
     flags = vars(args)
     config = replace(config, **{key: flags[flag] for flag, key in _FLAG_KEYS.items()
                                 if flags.get(flag) is not None})

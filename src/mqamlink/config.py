@@ -137,9 +137,9 @@ class RunConfig:
 
         Builds every domain object, one per grid value included, whose
         rules include finiteness; checks only that each grid is nonempty,
-        and t_r_s and trials, itself. The key named is the first,
-        in declaration order, at which the defaults overlaid with this
-        config's values stop building.
+        t_r_s, trials, and that output_path holds no NUL byte, itself. The
+        key named is the first, in declaration order, at which the
+        defaults overlaid with this config's values stop building.
         """
         try:
             self._build()
@@ -178,6 +178,8 @@ class RunConfig:
             raise ValueError(f"t_r_s must be nonnegative and finite, got {self.t_r_s}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if "\0" in self.output_path:  # no file system accepts the name
+            raise ValueError("output_path must not contain a NUL byte")
 
 
 # parser of each field's declared type: one declaration per key

@@ -142,8 +142,10 @@ def avg_ber(gamma_b_bar: float, scheme: ModulationScheme) -> float:
     every finite gamma_b_bar >= 0, and exact at 0: (2a - a^2)/b with
     a = 1 - 1/sqrt(M). Where c or (1+c)(1+mu) overflows, near the top of
     the double range, mu and eps come from r = 1/c instead:
-    mu = 1/sqrt(1+r) and eps = r/((1+r)(1+mu)). Strictly decreasing,
-    tending to 0 as the SNR grows; subnormal at the largest SNRs.
+    mu = 1/sqrt(1+r) and eps = r/((1+r)(1+mu)). Non-increasing to
+    within 1 ulp (between neighbouring doubles the value rises by an ulp
+    now and then), tending to 0 as the SNR grows; subnormal at the
+    largest SNRs.
     """
     if not 0.0 <= gamma_b_bar < math.inf:
         raise ValueError(f"gamma_b_bar must be finite and nonnegative, got {gamma_b_bar}")
@@ -164,7 +166,11 @@ def _newton(curve: Callable[[float], tuple[float, float]], target: float, x: flo
 
     A step that leaves the bracket [lo, hi] known to hold the root is
     replaced by bisection. Stops on a relative residual of
-    _NEWTON_REL_STOP, or when a step no longer changes x.
+    _NEWTON_REL_STOP, or when a step no longer changes x. Monotone to
+    within its rounding is enough: the solve relies only on this
+    bisection bracket, which keeps every step in [0, 1], and the caller
+    accepts the result only after confirming it through `avg_ber` to
+    INVERSION_REL_BOUND.
     """
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_MAX_STEPS):

@@ -603,6 +603,22 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["singlehop", "--config", str(tmp_path / "nope.txt")]) == EXIT_CONFIG
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_bytes(b"beta = 3.5\n\xff\n")
+        assert main(["singlehop", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+
+    def test_nul_byte_in_output_path(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_bytes(b"output_path = a\x00b.csv\n")
+        assert main(["singlehop", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for key 'output_path'")
+        assert err.count("\n") == 1
+
     def test_all_grid_points_infeasible(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         # feasible for 4-QAM would be < 0.375, but 1024-QAM caps near 0.1

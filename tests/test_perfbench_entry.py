@@ -9,6 +9,10 @@ break `--trace 1` or the benchmark's checks; these tests catch that.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +22,8 @@ from mqamlink.config import parse_config
 from mqamlink.energy import link_metrics
 from mqamlink.modulation import BerTarget, ModulationScheme
 
-SPANS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +67,23 @@ def test_traced_subcommands(spans, tmp_path, args, span_names, rows):
     assert tracer.counts.get("sweep.rows", 0) == rows
     if args[0] == "validate":
         assert tracer.counts["mc.trials"] == 2 * 10_000
+
+
+def test_traced_child_reports_import_times(spans, tmp_path):
+    # the traced child of the `cli_fresh` workload, run as `perfbench/run.py
+    # --trace 1` runs it: `spans.import_ms` reads the mqamlink and numpy lines
+    # of its `-X importtime` output, and raises when either is missing, so an
+    # import made lazy fails here first
+    spans_out = tmp_path / "spans.json"
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", str(SPANS_PY), str(spans_out), "--",
+         "multihop", "--out", str(tmp_path / "out.csv")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr[-300:]
+    assert set(spans.import_ms(child.stderr)) == {"cli.import_ms", "cli.import_ms.numpy"}
+    assert json.loads(spans_out.read_text())["counts"]["sweep.rows"] == 25
 
 
 def test_program_link_call():

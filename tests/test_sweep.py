@@ -103,3 +103,61 @@ class TestJoint:
     def test_variable_policy_refused(self):
         with pytest.raises(ConfigError, match="joint sweeps fixed powers over pt_grid_mw"):
             run_joint(VARIABLE)
+
+
+# every grid lists a value twice, out of order
+REPEATED = replace(REFERENCE, b_grid=(6, 4, 4, 6), d_grid_m=(50.0, 5.0, 50.0),
+                   ber_grid=(1e-4, 1e-4, 3e-4), pt_grid_mw=(50.0, 25.0, 50.0))
+
+
+def assert_first_least_flagged(rows, group, key):
+    """Each group flags exactly one row: the first of its equal least values."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(group(row), []).append(row)
+    for members in groups.values():
+        least = min(key(r) for r in members)
+        tied = [r for r in members if key(r) == least]
+        assert len(tied) >= 2  # the repeated value ties with itself
+        assert [r for r in members if r.is_argmin] == tied[:1]
+
+
+class TestRepeatedGridValues:
+    """A repeated grid value gives a row of its own, in ascending order."""
+
+    def test_singlehop(self):
+        rows = run_singlehop(REPEATED)
+        assert len(rows) == 4 * 3
+        assert [(r.b, r.d_m) for r in rows] == [(b, d) for b in (4, 4, 6, 6)
+                                                for d in (5.0, 50.0, 50.0)]
+        assert_first_least_flagged(rows, lambda r: r.d_m, lambda r: r.energy_j_per_bit)
+
+    @pytest.mark.parametrize("objective", ["energy", "delay"])
+    def test_multihop(self, objective):
+        rows = run_multihop(REPEATED, objective)
+        assert len(rows) == 3 * 4
+        assert [(r.ber_target, r.b) for r in rows] == [(pb, b) for pb in (1e-4, 1e-4, 3e-4)
+                                                       for b in (4, 4, 6, 6)]
+        key = (lambda r: r.energy_j_per_bit) if objective == "energy" else (lambda r: r.delay_s)
+        assert_first_least_flagged(rows, lambda r: r.ber_target, key)
+
+    def test_joint(self):
+        rows, best = run_joint(REPEATED)
+        assert len(rows) == 4 * 3
+        assert [(r.b, r.pt_mw) for r in rows] == [(b, p) for b in (4, 4, 6, 6)
+                                                  for p in (25.0, 50.0, 50.0)]
+        assert_first_least_flagged(rows, lambda r: None, lambda r: r.energy_j_per_bit)
+        assert best.is_argmin
+
+
+class TestErrorGroups:
+    def test_group_of_error_rows_flags_nothing(self):
+        # 1024-QAM caps near 0.1, so 0.2 has no answer at any b here
+        rows = run_multihop(replace(REFERENCE, b_grid=(10,), ber_grid=(0.2, 1e-4)))
+        assert [(r.ber_target, r.error is None, r.is_argmin) for r in rows] == [
+            (1e-4, True, True), (0.2, False, False)]
+
+    def test_joint_without_answer_has_no_best(self):
+        rows, best = run_joint(replace(REFERENCE, b_grid=(10,), ber_target=0.2))
+        assert best is None
+        assert rows and all(r.error is not None and not r.is_argmin for r in rows)
