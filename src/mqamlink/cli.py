@@ -13,6 +13,10 @@ unreachable or in near-certain outage), 3 validation failure (a
 simulation reaching its round cap included), 130 interrupted (Ctrl-C:
 `interrupted` on stderr, no traceback). Each subcommand takes only the
 flags it reads, and argparse exits 2 with a usage line on any other.
+`--policy`, `--trials`, `--seed` and `--out` override the config keys
+`policy`, `trials`, `seed` and `output_path`: `main` hands them to
+`parse_config`, which validates them with the file, so a bad flag is a
+config error and a flag wins over a bad value in the file.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import os
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -177,12 +181,6 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor, wait
 
     trials, seed = config.trials, config.seed
-    if trials < 10_000:
-        print(f"error: validate needs trials >= 10000, got {trials}", file=sys.stderr)
-        return EXIT_CONFIG
-    if seed < 0:
-        print(f"error: validate needs seed >= 0, got {seed}", file=sys.stderr)
-        return EXIT_CONFIG
     prop = config.propagation()
     circuit = config.circuit()
     radio = config.radio()
@@ -267,7 +265,7 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 # every sweep writes a CSV; `validate` writes none
-_OUT = {"--out": dict(help="CSV output path (overrides output_path)")}
+_OUT = {"--out": dict(dest="output_path", help="CSV output path (overrides output_path)")}
 # name: (help, handler, flags beyond --config and --policy)
 _SUBCOMMANDS = {
     "singlehop": ("energy per bit over the (b, distance) grid", _cmd_singlehop, _OUT),
@@ -282,8 +280,8 @@ _SUBCOMMANDS = {
         "--seed": dict(type=int, help="RNG seed (overrides seed)"),
     }),
 }
-# flags that override a config key
-_FLAG_KEYS = {"out": "output_path", "seed": "seed", "policy": "policy", "trials": "trials"}
+# a flag whose destination is one of these overrides that config key
+_KEYS = {f.name for f in fields(RunConfig)}
 
 
 # Built once per process: parsing leaves no state in the parser, and the
@@ -307,17 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {key: value for key, value in vars(args).items()
+             if key in _KEYS and value is not None}
     try:
         config = parse_config(Path(args.config).read_text(encoding="utf-8")
-                              if args.config is not None else "")
+                              if args.config is not None else "", **flags)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    # validity does not depend on these keys: no command line carries the NUL
-    # byte that output_path may not hold, and `validate` checks seed and trials
-    flags = vars(args)
-    config = replace(config, **{key: flags[flag] for flag, key in _FLAG_KEYS.items()
-                                if flags.get(flag) is not None})
     try:
         return args.handler(config, args)
     except ConfigError as exc:  # a key the subcommand cannot honour

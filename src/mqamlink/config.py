@@ -6,9 +6,13 @@ field, whose declared type picks the key's parser, and has the fixed
 unit listed below; powers are given in mW to match the reference
 parameter table and converted internally. An empty document yields the
 full default configuration. The rules on the values live in the domain
-objects built from them. A validated `RunConfig` is the whole
-description of a run: the sweeps in `sweep` and the `validate` check
-read it as it is.
+objects built from them; `RunConfig` holds the few left (nonempty
+grids, `trials`, `seed`, `output_path`), and every subcommand is held to
+every rule, `trials` and `seed` included, though only `validate` reads
+them. `parse_config` lays the command line's flags over the document's
+keys before it validates, so a flag is checked with the document and
+wins over it. A validated `RunConfig` is the whole description of a
+run: the sweeps in `sweep` and the `validate` check read it as it is.
 
 Keys and units:
     d0_m                reference far-field distance (m)
@@ -32,19 +36,18 @@ Keys and units:
     pt_grid_mw          comma-separated transmit powers for joint sweeps (mW)
     ber_target          BER constraint for single-hop / joint runs
     ber_grid            comma-separated BER constraints for multi-hop runs
-    trials              Monte Carlo packets per link for validation
-    seed                RNG seed
+    trials              Monte Carlo packets per link for validation (>= 10000)
+    seed                RNG seed (>= 0)
     output_path         CSV output path
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .channel import PropagationParams, k_db_from_carrier
-from .energy import CircuitProfile, FixedPower, PowerPolicy, VariablePower
+from .energy import CircuitProfile, FixedPower, PowerPolicy, VariablePower, attempt_overhead
 from .modulation import ALLOWED_BITS_PER_SYMBOL, BerTarget, ModulationScheme, RadioConfig
 from .network import LinearNetwork
 from .numerics import require_positive
@@ -96,7 +99,7 @@ class RunConfig:
         return k_db_from_carrier(self.frequency_hz, self.d0_m)
 
     def resolved_t_r_s(self) -> float:
-        return self.ttr_s if self.t_r_s is None else self.t_r_s
+        return attempt_overhead(self.circuit(), self.t_r_s)
 
     def propagation(self) -> PropagationParams:
         return PropagationParams(
@@ -136,10 +139,13 @@ class RunConfig:
         """Raise ConfigError naming the offending key on any bad value.
 
         Builds every domain object, one per grid value included, whose
-        rules include finiteness; checks only that each grid is nonempty,
-        t_r_s, trials, and that output_path holds no NUL byte, itself. The
-        key named is the first, in declaration order, at which the
-        defaults overlaid with this config's values stop building.
+        rules include finiteness, and checks t_r_s through
+        `energy.attempt_overhead`; checks only that each grid is nonempty,
+        that trials is at least 10000 and seed nonnegative, and that
+        output_path holds no NUL byte, itself. These rules hold for every
+        subcommand. The key named is the first, in declaration order, at
+        which the defaults overlaid with this config's values stop
+        building.
         """
         try:
             self._build()
@@ -159,7 +165,7 @@ class RunConfig:
         # the carrier must be valid even where k_db overrides the gain it sets
         k_db_from_carrier(self.frequency_hz, self.d0_m)
         self.propagation()
-        self.circuit()
+        self.resolved_t_r_s()  # builds the circuit too
         self.radio()
         self.network()
         FixedPower(self.pt_mw * 1e-3)
@@ -174,10 +180,11 @@ class RunConfig:
             FixedPower(p * 1e-3)
         for d in self.d_grid_m:
             require_positive(d_grid_m=d)
-        if not (self.t_r_s is None or 0 <= self.t_r_s < math.inf):
-            raise ValueError(f"t_r_s must be nonnegative and finite, got {self.t_r_s}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # only `validate` reads trials and seed, but every run checks every key
+        if self.trials < 10_000:
+            raise ValueError(f"trials must be >= 10000, got {self.trials}")
+        if self.seed < 0:  # numpy seeds only nonnegative integers
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if "\0" in self.output_path:  # no file system accepts the name
             raise ValueError("output_path must not contain a NUL byte")
 
@@ -194,11 +201,13 @@ _TYPE_PARSERS = {
 _PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, **overrides: object) -> RunConfig:
     """Parse a flat key/value document into a validated RunConfig.
 
-    Unknown keys are collected and reported together; syntax and value
-    errors carry the line number and key name.
+    Each keyword argument names a key and holds a value of its declared
+    type, such as a command-line flag's; it replaces the document's value
+    before the one validation. Unknown keys are collected and reported
+    together; syntax and value errors carry the line number and key name.
     """
     values: dict[str, object] = {}
     unknown: list[str] = []
@@ -220,7 +229,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for key '{key}': {exc}") from exc
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(unknown))
-    config = replace(RunConfig(), **values)
+    config = replace(RunConfig(), **{**values, **overrides})
     config.validate()
     return config
 

@@ -44,6 +44,7 @@ __all__ = [
     "PowerPolicy",
     "LinkMetrics",
     "amplifier_overhead",
+    "attempt_overhead",
     "on_time",
     "single_tx_energy_per_bit",
     "hop_costs",
@@ -123,6 +124,17 @@ def on_time(radio: RadioConfig, scheme: ModulationScheme) -> float:
     return radio.packet_bits / (scheme.b * radio.bandwidth_hz)
 
 
+def attempt_overhead(circuit: CircuitProfile, t_r_s: float | None = None) -> float:
+    """Per-attempt delay overhead (s) beyond the on-air time: t_r_s, or the
+    transient duration when it is None. Raises ValueError for a t_r_s that
+    is negative, NaN or infinite."""
+    if t_r_s is None:
+        return circuit.ttr_s
+    if not 0.0 <= t_r_s < math.inf:
+        raise ValueError(f"t_r_s must be nonnegative and finite, got {t_r_s}")
+    return t_r_s
+
+
 def single_tx_energy_per_bit(
     pt_watts: float,
     scheme: ModulationScheme,
@@ -166,7 +178,8 @@ def hop_costs(
     1 - p_link.
 
     Raises InfeasibleTargetError here for a target the constellation
-    cannot meet. `cost` raises UnreachableLinkError for a hop whose
+    cannot meet, and ValueError for a t_r_s that `attempt_overhead`
+    rejects. `cost` raises UnreachableLinkError for a hop whose
     receive threshold has no finite dBm value, one shorter than d0, one
     whose outage probability rounds to 1, and one whose transmit power,
     energy or delay falls outside the double range.
@@ -174,7 +187,7 @@ def hop_costs(
     gamma = required_gamma_b(target, scheme)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
     pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
-    attempt_s = on_time(radio, scheme) + (circuit.ttr_s if t_r_s is None else t_r_s)
+    attempt_s = on_time(radio, scheme) + attempt_overhead(circuit, t_r_s)
     fixed = None
     if isinstance(policy, FixedPower):
         # a FixedPower is positive and finite, so its dBm value is finite

@@ -84,12 +84,11 @@ def _route_filler(config: RunConfig, objective: str) -> _Filler:
     policy, at the row's (b, BER target) on the config's relay line."""
     net, circuit, radio, prop = (
         config.network(), config.circuit(), config.radio(), config.propagation())
-    t_r_s = config.resolved_t_r_s()
 
     def fill(row: SweepRow, policy: PowerPolicy) -> None:
         result = optimal_route(
             net, policy, ModulationScheme(row.b), BerTarget(row.ber_target),
-            circuit, radio, prop, objective=objective, t_r_s=t_r_s,
+            circuit, radio, prop, objective=objective, t_r_s=config.t_r_s,
         )
         row.route_mask = result.route.mask_string(net.relay_count)
         row.hops = len(result.per_hop)
@@ -103,12 +102,11 @@ def run_singlehop(config: RunConfig) -> list[SweepRow]:
     """Evaluate every (b, d) grid point; flag the per-distance energy argmin."""
     policy, circuit, radio, prop = (
         config.power_policy(), config.circuit(), config.radio(), config.propagation())
-    t_r_s = config.resolved_t_r_s()
     target = BerTarget(config.ber_target)
 
     def fill(row: SweepRow, policy: PowerPolicy) -> None:
         m = link_metrics(row.d_m, policy, ModulationScheme(row.b), target,
-                         circuit, radio, prop, t_r_s=t_r_s)
+                         circuit, radio, prop, t_r_s=config.t_r_s)
         row.pt_dbm, row.pmin_dbm, row.p_link = m.pt_dbm, m.pmin_dbm, m.p_link
         row.energy_j_per_bit, row.delay_s = m.energy_per_bit, m.delay
 
@@ -121,7 +119,7 @@ def run_multihop(config: RunConfig, objective: str = "energy") -> list[SweepRow]
     """Optimal route per (BER target, b); flag the per-target argmin under
     the chosen objective."""
     policy = config.power_policy()
-    pt_mw = policy.pt_watts * 1e3 if isinstance(policy, FixedPower) else None
+    pt_mw = config.pt_mw if isinstance(policy, FixedPower) else None
     cells = [(SweepRow(policy=policy.name, b=b, ber_target=pb_bar, pt_mw=pt_mw), policy)
              for pb_bar in sorted(config.ber_grid) for b in sorted(config.b_grid)]
     return _sweep(cells, _route_filler(config, objective), lambda row: row.ber_target,
@@ -136,9 +134,8 @@ def run_joint(config: RunConfig) -> tuple[list[SweepRow], Optional[SweepRow]]:
     if config.policy != FixedPower.name:
         raise ConfigError(f"joint sweeps fixed powers over pt_grid_mw; "
                           f"policy {config.policy!r} does not apply")
-    policies = [FixedPower(p * 1e-3) for p in sorted(config.pt_grid_mw)]
-    cells = [(SweepRow(policy=FixedPower.name, b=b, ber_target=config.ber_target,
-                       pt_mw=policy.pt_watts * 1e3), policy)
-             for b in sorted(config.b_grid) for policy in policies]
+    cells = [(SweepRow(policy=FixedPower.name, b=b, ber_target=config.ber_target, pt_mw=p),
+              FixedPower(p * 1e-3))
+             for b in sorted(config.b_grid) for p in sorted(config.pt_grid_mw)]
     rows = _sweep(cells, _route_filler(config, "energy"), lambda row: None, "energy_j_per_bit")
     return rows, next((row for row in rows if row.is_argmin), None)

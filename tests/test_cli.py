@@ -309,8 +309,8 @@ class TestValidate:
         assert main(["validate", "--config", str(cfg)]) == EXIT_CONFIG
         assert main(["validate", "--seed", "-2", "--trials", "10000"]) == EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
-            "error: validate needs seed >= 0, got -1",
-            "error: validate needs seed >= 0, got -2",
+            "config error: invalid value for key 'seed': -1 (seed must be >= 0, got -1)",
+            "config error: invalid value for key 'seed': -2 (seed must be >= 0, got -2)",
         ]
 
     def test_subnormal_outage_passes(self, tmp_path, capsys):
@@ -619,6 +619,29 @@ class TestExitCodes:
         assert err.startswith("config error: invalid value for key 'output_path'")
         assert err.count("\n") == 1
 
+    def test_nul_byte_in_out_flag(self, capsys):
+        # the flag is validated with the config, before any file is opened
+        assert main(["singlehop", "--out", "a\x00b.csv"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid value for key 'output_path'")
+        assert err.count("\n") == 1
+
+    def test_flag_overrides_an_invalid_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("trials = 0\nb_grid = 4\nd_grid_m = 40\n")
+        assert main(["validate", "--config", str(cfg), "--trials", "10000"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("(trials=10000, seed=1)\n")
+
+    def test_trials_floor_holds_for_every_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("trials = 100\n")
+        out = tmp_path / "never.csv"
+        assert main(["singlehop", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: invalid value for key 'trials': 100 (trials must be >= 10000, got 100)\n"
+        )
+
     def test_all_grid_points_infeasible(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         # feasible for 4-QAM would be < 0.375, but 1024-QAM caps near 0.1
@@ -897,9 +920,15 @@ _KEY_VALUES = {
 }
 
 
+# the config keys that each subcommand also takes as a flag
+_KEY_FLAGS = {"singlehop": ("policy",), "multihop": ("policy",), "joint": ("policy",),
+              "validate": ("policy", "trials", "seed")}
+
+
 class TestAnyConfig:
     """Any config ends in rows or a documented exit code, never in a
-    traceback, and no CSV cell is inf or nan."""
+    traceback, and no CSV cell is inf or nan. A value given as a flag ends
+    as it does in the config file."""
 
     # The round cap is lowered so that a link whose simulation never ends
     # fails in milliseconds; the paths taken are those of the full cap.
@@ -912,12 +941,23 @@ class TestAnyConfig:
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(channel, "_MAX_MC_ROUNDS", 1000):
             cfg = Path(tmp) / "cfg.txt"
-            cfg.write_text(serialize_config(replace(RunConfig(), **values)))
-            sweeps = [[name, "--out", str(Path(tmp) / f"{name}.csv")]
-                      for name in ("singlehop", "multihop", "joint")]
-            for args in (*sweeps, ["validate", "--trials", "10000"]):
-                code = main([*args, "--config", str(cfg)])
-                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VALIDATION)
+            for command, flag_keys in _KEY_FLAGS.items():
+                given = dict(values)
+                args = [command, "--config", str(cfg)]
+                if command == "validate":  # at most 10000 packets per link
+                    given["trials"] = min(values.get("trials", 10_000), 10_000)
+                else:
+                    args += ["--out", str(Path(tmp) / f"{command}.csv")]
+                # argparse turns away a policy that is not a choice
+                as_flags = {key: value for key, value in given.items()
+                            if key in flag_keys and (key != "policy" or value in POLICIES)}
+                codes = []
+                for in_flags in ({}, as_flags) if as_flags else ({},):
+                    cfg.write_text(serialize_config(replace(RunConfig(), **{
+                        key: value for key, value in given.items() if key not in in_flags})))
+                    codes.append(main([*args, *(f"--{k}={v}" for k, v in in_flags.items())]))
+                assert codes[0] in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VALIDATION)
+                assert len(set(codes)) == 1
             for out in Path(tmp).glob("*.csv"):
                 cells = [c for row in read_csv(out) for c in row.values()]
                 assert not any(c in ("inf", "-inf", "nan") for c in cells)

@@ -76,6 +76,15 @@ class TestParsing:
             parse_config("beta = 3.0\njust words\n")
         assert "line 2" in str(err.value)
 
+    def test_overrides_are_validated_with_the_document(self):
+        # an override replaces a document value, even one that is invalid
+        config = parse_config("trials = 0\nseed = 3\nbeta = 2.9\n", trials=20_000, seed=4)
+        assert (config.trials, config.seed, config.beta) == (20_000, 4, 2.9)
+        for key, value in (("output_path", "a\0b.csv"), ("seed", -2), ("policy", "adaptive")):
+            with pytest.raises(ConfigError) as err:
+                parse_config("", **{key: value})
+            assert str(err.value).startswith(f"invalid value for key '{key}': {value!r} (")
+
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError) as err:
             parse_config("beta = fast\n")
@@ -114,6 +123,8 @@ class TestParsing:
             ("ber_grid = 1e-4,0.375", "ber_grid"),
             ("ber_grid = 1e-4,0.4", "ber_grid"),
             ("trials = 0", "trials"),
+            ("trials = 9999", "trials"),
+            ("seed = -1", "seed"),
             # finite values whose derived quantities overflow
             ("frequency_hz = 1e-300", "frequency_hz"),
             ("eta = 1e-320", "eta"),

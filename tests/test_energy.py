@@ -20,6 +20,7 @@ from mqamlink.energy import (
     LinkMetrics,
     VariablePower,
     amplifier_overhead,
+    attempt_overhead,
     energy_to_dbmj,
     hop_costs,
     link_metrics,
@@ -138,6 +139,25 @@ class TestExpectations:
         m = link_metrics(50.0, VariablePower(), ModulationScheme(2), BerTarget(1e-4),
                          circuit, radio, prop, t_r_s=0.25)
         assert m.delay == pytest.approx(2 * 1.25, rel=1e-12)
+
+    def test_attempt_overhead_defaults_to_the_transient(self, circuit):
+        assert attempt_overhead(circuit, None) == circuit.ttr_s == 5e-6
+        assert attempt_overhead(circuit, 0.0) == 0.0
+        assert attempt_overhead(circuit, 0.25) == 0.25
+
+    @pytest.mark.parametrize("t_r_s", [-1.0, math.nan, math.inf])
+    def test_bad_overhead_rejected_on_every_call(self, circuit, radio, prop, t_r_s):
+        # a negative overhead once gave a negative delay, and a non-finite
+        # one an unusable hop
+        message = f"t_r_s must be nonnegative and finite, got {t_r_s}"
+        with pytest.raises(ValueError, match=message):
+            attempt_overhead(circuit, t_r_s)
+        with pytest.raises(ValueError, match=message):
+            link_metrics(50.0, FixedPower(0.1), ModulationScheme(4), BerTarget(1e-4),
+                         circuit, radio, prop, t_r_s=t_r_s)
+        with pytest.raises(ValueError, match=message):
+            hop_costs(VariablePower(), ModulationScheme(4), BerTarget(1e-4),
+                      circuit, radio, prop, t_r_s=t_r_s)
 
     def test_delay_rejects_certain_outage(self, circuit, radio, prop):
         cost = hop_costs(FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),

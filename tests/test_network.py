@@ -193,6 +193,15 @@ class TestOptimalRoute:
                 circuit, radio, prop, objective="latency",
             )
 
+    @pytest.mark.parametrize("t_r_s", [-1.0, math.nan, math.inf])
+    def test_bad_overhead_rejected(self, circuit, radio, prop, t_r_s):
+        # a non-finite overhead once made every hop unusable instead
+        args = (NET, FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4), circuit, radio, prop)
+        with pytest.raises(ValueError, match="t_r_s must be nonnegative and finite"):
+            optimal_route(*args, t_r_s=t_r_s)
+        with pytest.raises(ValueError, match="t_r_s must be nonnegative and finite"):
+            route_cost(Route(0), *args, t_r_s=t_r_s)
+
     def test_deterministic(self, circuit, radio, prop):
         args = (NET, FixedPower(0.1), ModulationScheme(6), BerTarget(1e-4),
                 circuit, radio, prop)

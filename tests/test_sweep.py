@@ -105,6 +105,22 @@ class TestJoint:
             run_joint(VARIABLE)
 
 
+class TestGridPowers:
+    """A row's pt_mw is the config's own value: the mW -> W -> mW round
+    trip gives another double for this one."""
+
+    PT_MW = 847.4489935635389
+
+    def test_multihop(self):
+        assert self.PT_MW * 1e-3 * 1e3 != self.PT_MW
+        rows = run_multihop(replace(REFERENCE, pt_mw=self.PT_MW, b_grid=(4,), ber_grid=(1e-4,)))
+        assert [row.pt_mw for row in rows] == [self.PT_MW]
+
+    def test_joint(self):
+        rows, _ = run_joint(replace(REFERENCE, b_grid=(4,), pt_grid_mw=(self.PT_MW, 50.0)))
+        assert [row.pt_mw for row in rows] == [50.0, self.PT_MW]
+
+
 # every grid lists a value twice, out of order
 REPEATED = replace(REFERENCE, b_grid=(6, 4, 4, 6), d_grid_m=(50.0, 5.0, 50.0),
                    ber_grid=(1e-4, 1e-4, 3e-4), pt_grid_mw=(50.0, 25.0, 50.0))
