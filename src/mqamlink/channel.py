@@ -6,7 +6,9 @@ zero-mean Gaussian shadowing term. A link is in outage when the received
 power falls below a threshold, which triggers a retransmission.
 
 All powers in this module are in dBm (0 dBm = 1 mW); conversions from
-watts happen at the module boundary.
+watts happen at the module boundary. A distance that is not positive
+and finite raises ValueError, and one inside the far-field reference d0
+raises UnreachableLinkError, whichever power policy set the hop.
 """
 
 from __future__ import annotations
@@ -128,15 +130,26 @@ class ShadowedLink:
             raise ValueError(f"pt_dbm, pmin_dbm must be finite, got {self.pt_dbm, self.pmin_dbm}")
 
 
-def mean_received_power_dbm(
-    pt_dbm: float, distance_m: float, params: PropagationParams
-) -> float:
-    """Mean (shadowing at zero) received power in dBm at the given distance."""
+def _path_loss_db(distance_m: float, params: PropagationParams) -> float:
+    """Path loss in dB beyond the reference gain: 10 beta log10(d / d0).
+
+    Raises ValueError for a distance that is not positive and finite, and
+    UnreachableLinkError for one inside the far-field reference d0.
+    """
+    if not 0.0 < distance_m < math.inf:
+        raise ValueError(f"distance_m must be positive and finite, got {distance_m}")
     if distance_m < params.d0_m:
         raise UnreachableLinkError(
             f"distance {distance_m} m is inside the far-field reference {params.d0_m} m"
         )
-    return pt_dbm + params.k_db - 10.0 * params.beta * math.log10(distance_m / params.d0_m)
+    return 10.0 * params.beta * math.log10(distance_m / params.d0_m)
+
+
+def mean_received_power_dbm(
+    pt_dbm: float, distance_m: float, params: PropagationParams
+) -> float:
+    """Mean (shadowing at zero) received power in dBm at the given distance."""
+    return pt_dbm + params.k_db - _path_loss_db(distance_m, params)
 
 
 def outage_probability(link: ShadowedLink, params: PropagationParams) -> float:
@@ -166,11 +179,7 @@ def required_pt_dbm(
     Algebraic inverse of mean_received_power_dbm; feeding the result back
     through it reproduces pmin up to floating-point rounding.
     """
-    if distance_m < params.d0_m:
-        raise UnreachableLinkError(
-            f"distance {distance_m} m is inside the far-field reference {params.d0_m} m"
-        )
-    return pmin_dbm - params.k_db + 10.0 * params.beta * math.log10(distance_m / params.d0_m)
+    return pmin_dbm - params.k_db + _path_loss_db(distance_m, params)
 
 
 def monte_carlo_cap_reachable(p_outage: float, trials: int) -> bool:

@@ -8,11 +8,11 @@ sweeps fixed powers, so the variable policy is a config error there.
 Carlo and fails loudly on disagreement. Its per-link simulations run on
 a thread pool sized to the usable CPUs, and its report is the same for
 any pool size. Exit codes: 0 success, 1 config error, 2 every grid
-point infeasible (for `validate`: every link skipped as infeasible,
-unreachable or in near-certain outage), 3 validation failure (a
-simulation reaching its round cap included), 130 interrupted (Ctrl-C:
-`interrupted` on stderr, no traceback). Each subcommand takes only the
-flags it reads, and argparse exits 2 with a usage line on any other.
+point infeasible (for `validate`: every link skipped as infeasible or
+in near-certain outage), 3 validation failure (a simulation reaching
+its round cap included), 130 interrupted (Ctrl-C: `interrupted` on
+stderr, no traceback). Each subcommand takes only the flags it reads,
+and argparse exits 2 with a usage line on any other.
 `--policy`, `--trials`, `--seed` and `--out` override the config keys
 `policy`, `trials`, `seed` and `output_path`: `main` hands them to
 `parse_config`, which validates them with the file, so a bad flag is a
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import os
 import sys
 import threading
@@ -34,15 +33,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channel import (
-    ShadowedLink,
-    UnreachableLinkError,
-    monte_carlo_cap_reachable,
-    monte_carlo_outage,
-)
+from .channel import ShadowedLink, monte_carlo_cap_reachable, monte_carlo_outage
 from .config import POLICIES, ConfigError, RunConfig, parse_config
-from .energy import link_metrics
-from .modulation import BerTarget, InfeasibleTargetError, ModulationScheme
+# not called here: the benchmark's trace points look up `mqamlink.cli.link_metrics`
+from .energy import link_metrics  # noqa: F401
 from .numerics import binomial_tail, gaussian_q
 from .sweep import SweepRow, run_joint, run_multihop, run_singlehop
 
@@ -172,47 +166,37 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
     """Monte Carlo check of the analytic outage probability and the
     geometric retransmission count on every (b, d) grid link.
 
-    The analytic side and the SKIP decisions run first, over the links
-    in ascending (b, d) order. The simulations then run on a thread pool,
-    one link per task, the heaviest first; each link has its own seed, so
-    the report, printed in that order once every simulation is done, does
-    not depend on the number of threads.
+    The links are `singlehop`'s rows, in ascending (b, d) order: an error
+    row is a SKIP, and so is a link in near-certain outage. The
+    simulations then run on a thread pool, one link per task, the
+    heaviest first; each link has its own seed, so the report, printed in
+    that order once every simulation is done, does not depend on the
+    number of threads.
     """
     from concurrent.futures import ThreadPoolExecutor, wait
 
     trials, seed = config.trials, config.seed
     prop = config.propagation()
-    circuit = config.circuit()
-    radio = config.radio()
-    policy = config.power_policy()
-    # sorted, so that the per-link seeds and the report follow the links,
-    # not the order the config lists them in
-    links = list(itertools.product(sorted(config.b_grid), sorted(config.d_grid_m)))
-    link_seeds = np.random.SeedSequence(seed).generate_state(len(links))
+    # the rows are sorted, so that the per-link seeds and the report follow
+    # the links, not the order the config lists them in
+    rows = run_singlehop(config)
+    link_seeds = np.random.SeedSequence(seed).generate_state(len(rows))
     skips: dict[int, str] = {}  # grid index -> SKIP reason
-    simulate: dict[int, tuple[float, ShadowedLink]] = {}  # grid index -> (p_link, link)
-    for i, (b, d) in enumerate(links):
-        try:
-            metrics = link_metrics(
-                d, policy, ModulationScheme(b), BerTarget(config.ber_target),
-                circuit, radio, prop,
-            )
-        except (InfeasibleTargetError, UnreachableLinkError) as exc:
-            reason = "unreachable" if isinstance(exc, UnreachableLinkError) else "infeasible"
-            skips[i] = f"{reason}: {exc}"
-            continue
-        p = metrics.p_link
-        if monte_carlo_cap_reachable(p, trials):
-            skips[i] = (f"near-certain outage: 1 - p_link = {1.0 - p:.2e}, "
+    simulate: dict[int, ShadowedLink] = {}  # grid index -> link
+    for i, row in enumerate(rows):
+        if row.error is not None:
+            skips[i] = f"infeasible: {row.error}"
+        elif monte_carlo_cap_reachable(row.p_link, trials):
+            skips[i] = (f"near-certain outage: 1 - p_link = {1.0 - row.p_link:.2e}, "
                         "the simulation could exceed its round cap")
         else:
-            simulate[i] = (p, ShadowedLink(d, metrics.pt_dbm, metrics.pmin_dbm))
+            simulate[i] = ShadowedLink(row.d_m, row.pt_dbm, row.pmin_dbm)
     # a link draws about trials / (1 - p) values: submit the largest p first
-    heaviest_first = sorted(simulate, key=lambda i: simulate[i][0], reverse=True)
+    heaviest_first = sorted(simulate, key=lambda i: rows[i].p_link, reverse=True)
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=max(1, min(_usable_cpus(), len(simulate)))) as pool:
         futures = {
-            i: pool.submit(monte_carlo_outage, simulate[i][1], prop, trials, int(link_seeds[i]),
+            i: pool.submit(monte_carlo_outage, simulate[i], prop, trials, int(link_seeds[i]),
                            stop=stop)
             for i in heaviest_first
         }
@@ -226,12 +210,12 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
             raise
     failures = 0
     skipped = 0
-    for i, (b, d) in enumerate(links):
+    for i, row in enumerate(rows):
+        b, d, p = row.b, row.d_m, row.p_link
         if i in skips:
             print(f"link b={b} d_m={_fmt(d)}: SKIP ({skips[i]})")
             skipped += 1
             continue
-        p = simulate[i][0]
         try:
             empirical, mean_count = futures[i].result()
         except RuntimeError as exc:
@@ -250,7 +234,7 @@ def _cmd_validate(config: RunConfig, args: argparse.Namespace) -> int:
             f"link b={b} d_m={_fmt(d)}: analytic={p:.6e} empirical={empirical:.6e} "
             f"mean_count={mean_count:.6f} expected_count={expected_count:.6f} {status}"
         )
-    total = len(links)
+    total = len(rows)
     skip_note = f", {skipped} SKIP" if skipped else ""
     print(
         f"validate: {total - failures - skipped}/{total} links PASS{skip_note} "

@@ -58,7 +58,9 @@ class LinearNetwork:
             raise ValueError(
                 f"relay_count must lie in [0, {MAX_RELAYS}], got {self.relay_count}"
             )
-        require_positive(total_distance_m=self.total_distance_m, spacing_m=self.spacing_m)
+        # the longest hop, gap N + 1, can round past the span to inf
+        require_positive(total_distance_m=self.total_distance_m, spacing_m=self.spacing_m,
+                         direct_hop_m=(self.relay_count + 1) * self.spacing_m)
 
     @property
     def spacing_m(self) -> float:

@@ -21,7 +21,7 @@ from mqamlink.channel import (
     watts_to_dbm,
 )
 from mqamlink.config import RunConfig
-from mqamlink.energy import link_metrics
+from mqamlink.energy import FixedPower, VariablePower, link_metrics
 from mqamlink.modulation import BerTarget, ModulationScheme
 
 
@@ -90,6 +90,33 @@ class TestMeanPower:
             mean_received_power_dbm(20.0, 0.5, prop)
         with pytest.raises(UnreachableLinkError):
             required_pt_dbm(-80.0, 0.5, prop)
+
+
+class TestDistanceRule:
+    """One rule for a hop's length, under either power policy."""
+
+    @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()],
+                             ids=["fixed", "variable"])
+    @pytest.mark.parametrize("distance_m, error", [
+        (-5.0, ValueError),
+        (0.0, ValueError),
+        (math.nan, ValueError),
+        (math.inf, ValueError),
+        (0.5, UnreachableLinkError),  # inside the far-field reference d0 = 1 m
+    ])
+    def test_link_metrics(self, prop, circuit, radio, policy, distance_m, error):
+        with pytest.raises(ValueError) as raised:
+            link_metrics(distance_m, policy, ModulationScheme(4), BerTarget(1e-4),
+                         circuit, radio, prop)
+        # UnreachableLinkError is a ValueError: the class must match exactly
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("distance_m", [-5.0, 0.0, math.nan, math.inf])
+    def test_mean_and_required_power(self, prop, distance_m):
+        for power in (mean_received_power_dbm, required_pt_dbm):
+            with pytest.raises(ValueError, match="positive and finite") as raised:
+                power(-80.0, distance_m, prop)
+            assert type(raised.value) is ValueError
 
 
 class TestOutage:

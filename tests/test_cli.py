@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mqamlink import channel, cli
+from mqamlink import channel, cli, sweep
 from mqamlink.channel import ShadowedLink, monte_carlo_outage
 from mqamlink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
-from mqamlink.config import POLICIES, RunConfig, serialize_config
+from mqamlink.config import POLICIES, RunConfig, parse_config, serialize_config
 from mqamlink.energy import link_metrics
 from mqamlink.modulation import BerTarget, ModulationScheme
 from mqamlink.network import MAX_RELAYS
@@ -242,7 +242,7 @@ class TestUnusableHops:
         # every link skipped: nothing was validated, like a sweep with no feasible point
         assert main(["validate", "--config", str(cfg)]) == EXIT_INFEASIBLE
         captured = capsys.readouterr()
-        assert captured.out.count("SKIP (unreachable") == 2
+        assert captured.out.count("SKIP (infeasible") == 2
         assert captured.out.endswith(
             "validate: 0/2 links PASS, 2 SKIP (trials=10000, seed=1)\n"
         )
@@ -371,7 +371,7 @@ class TestValidate:
                 reports.append(capsys.readouterr().out)
             assert reports[0] == reports[1]
             lines = reports[0].splitlines()
-            assert sum("SKIP (unreachable" in line for line in lines) == 5
+            assert sum("SKIP (infeasible" in line for line in lines) == 5
             assert sum("SKIP (near-certain outage" in line for line in lines) == 2
             assert sum("FAIL (retransmission simulation exceeded 60 rounds" in line
                        for line in lines) == 5
@@ -449,14 +449,37 @@ class TestValidate:
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_outage_off_by_two_fails(self, tmp_path, capsys, monkeypatch, factor):
         # p_link = 0.018 at b = 6, 75 m: about 180 outages in 1e4 first attempts
-        metrics = cli.link_metrics
-        monkeypatch.setattr(cli, "link_metrics", lambda *args: replace(
-            metrics(*args), p_link=factor * metrics(*args).p_link))
+        metrics = sweep.link_metrics
+        monkeypatch.setattr(sweep, "link_metrics", lambda *args, t_r_s: replace(
+            metrics(*args, t_r_s=t_r_s), p_link=factor * metrics(*args, t_r_s=t_r_s).p_link))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("b_grid = 6\nd_grid_m = 75\ntrials = 10000\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION
         line = capsys.readouterr().out.splitlines()[0]
         assert line.startswith("link b=6 d_m=75: analytic=") and line.endswith(" FAIL")
+
+    @pytest.mark.parametrize("config_text", [
+        "",
+        "policy = variable\n",
+        # 0.5 m is inside d0, and the longest b = 8 and b = 10 links' delay overflows
+        "t_r_s = 1e308\nd_grid_m = 0.5,50,100\n",
+    ])
+    def test_links_are_singlehop_rows(self, tmp_path, capsys, config_text):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config_text)
+        code = main(["validate", "--config", str(cfg), "--trials", "10000"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        rows = sweep.run_singlehop(parse_config(config_text))
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            head = f"link b={row.b} d_m={cli._fmt(row.d_m)}: "
+            if row.error is not None:
+                assert line == f"{head}SKIP (infeasible: {row.error})"
+            elif channel.monte_carlo_cap_reachable(row.p_link, 10_000):
+                assert line.startswith(f"{head}SKIP (near-certain outage: ")
+            else:
+                assert line.startswith(f"{head}analytic={row.p_link:.6e} ")
 
     def test_seed_flag_changes_draws(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -884,7 +907,7 @@ class TestRouteSearchErrors:
         assert main(["validate", "--config", str(cfg), "--trials", "10000"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[5:-1] == [
-            f"link b=4 d_m={d}: SKIP (unreachable: {d}.0 {reason})" for d in (5, 25, 50, 75, 100)
+            f"link b=4 d_m={d}: SKIP (infeasible: {d}.0 {reason})" for d in (5, 25, 50, 75, 100)
         ]
         assert lines[-1] == "validate: 5/10 links PASS, 5 SKIP (trials=10000, seed=1)"
 

@@ -129,6 +129,9 @@ class TestParsing:
             ("frequency_hz = 1e-300", "frequency_hz"),
             ("eta = 1e-320", "eta"),
             ("d0_m = 1e308", "d0_m"),
+            # the direct hop, 9 spacings, rounds up to inf; the key named is
+            # the first at which the overlaid defaults stop building
+            ("total_distance_m = 1.7976931348623157e308\nrelay_count = 8", "relay_count"),
         ],
     )
     def test_invariant_violations_name_the_key(self, line, key):

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -311,6 +312,8 @@ class TestLinearNetworkType:
         {"total_distance_m": 0.0},
         {"total_distance_m": 100.0, "relay_count": -1},
         {"total_distance_m": 100.0, "relay_count": 31},
+        # 9 * (max / 9) rounds up past the largest double: the direct hop is inf
+        {"total_distance_m": sys.float_info.max, "relay_count": 8},
     ])
     def test_invalid_networks_rejected(self, kwargs):
         with pytest.raises(ValueError):

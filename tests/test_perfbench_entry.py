@@ -7,6 +7,7 @@ those attributes, or that makes a caller bind a function at import, would
 break `--trace 1` or the benchmark's checks; these tests catch that.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -39,14 +40,28 @@ def test_every_trace_point_resolves(spans):
         assert callable(getattr(importlib.import_module(module_name), attr))
 
 
+def test_trace_only_names_are_known(spans):
+    # the names a module imports only for a trace point to wrap, and never
+    # loads itself: they are kept for the benchmark alone, and a name that
+    # joins them is one a change left behind
+    unused = set()
+    for module_name, attr, _ in spans.TRACE_POINTS:
+        tree = ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+        if not any(isinstance(node, ast.Name) and node.id == attr
+                   and isinstance(node.ctx, ast.Load) for node in ast.walk(tree)):
+            unused.add(f"{module_name.rsplit('.', 1)[1]}.{attr}")
+    assert unused == {"modulation.integrate", "modulation.solve_monotone", "cli.link_metrics"}
+
+
 @pytest.mark.parametrize("args, span_names, rows", [
     (["singlehop"], {"sweep.run", "energy.link_metrics", "modulation.required_gamma_b"}, 25),
     # the route search calls no link_metrics: one threshold, then each hop
     (["multihop", "--objective", "delay"],
      {"sweep.run", "network.optimal_route", "modulation.required_gamma_b",
       "channel.outage_probability"}, 25),
+    # `validate` reads its links from the singlehop study
     (["validate", "--trials", "10000"],
-     {"channel.monte_carlo_outage", "energy.link_metrics"}, 0),
+     {"sweep.run", "channel.monte_carlo_outage", "energy.link_metrics"}, 2),
 ])
 def test_traced_subcommands(spans, tmp_path, args, span_names, rows):
     # the CLI looks each traced function up at call time, so the wrappers see
