@@ -29,6 +29,7 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "k_db_from_carrier",
+    "path_loss_db",
     "mean_received_power_dbm",
     "outage_probability",
     "required_pt_dbm",
@@ -130,7 +131,7 @@ class ShadowedLink:
             raise ValueError(f"pt_dbm, pmin_dbm must be finite, got {self.pt_dbm, self.pmin_dbm}")
 
 
-def _path_loss_db(distance_m: float, params: PropagationParams) -> float:
+def path_loss_db(distance_m: float, params: PropagationParams) -> float:
     """Path loss in dB beyond the reference gain: 10 beta log10(d / d0).
 
     Raises ValueError for a distance that is not positive and finite, and
@@ -149,7 +150,7 @@ def mean_received_power_dbm(
     pt_dbm: float, distance_m: float, params: PropagationParams
 ) -> float:
     """Mean (shadowing at zero) received power in dBm at the given distance."""
-    return pt_dbm + params.k_db - _path_loss_db(distance_m, params)
+    return pt_dbm + params.k_db - path_loss_db(distance_m, params)
 
 
 def outage_probability(link: ShadowedLink, params: PropagationParams) -> float:
@@ -179,7 +180,7 @@ def required_pt_dbm(
     Algebraic inverse of mean_received_power_dbm; feeding the result back
     through it reproduces pmin up to floating-point rounding.
     """
-    return pmin_dbm - params.k_db + _path_loss_db(distance_m, params)
+    return pmin_dbm - params.k_db + path_loss_db(distance_m, params)
 
 
 def monte_carlo_cap_reachable(p_outage: float, trials: int) -> bool:

@@ -8,8 +8,9 @@ applies to the per-link delay.
 
 One function, `hop_costs`, evaluates a hop. It resolves what does not
 depend on the hop's length once (the BER inversion, the receive
-threshold, the attempt time) and returns the function of the length. A
-route search calls it once and the returned function once per gap;
+threshold, the attempt time) and returns the function of the length,
+with the per-attempt figures every hop's cost is bounded by. A route
+search calls it once and the returned function at most once per gap;
 `link_metrics` calls both for one hop.
 """
 
@@ -25,6 +26,7 @@ from .channel import (
     UnreachableLinkError,
     dbm_to_watts,
     outage_probability,
+    path_loss_db,
     required_pt_dbm,
     watts_to_dbm,
 )
@@ -135,6 +137,17 @@ def attempt_overhead(circuit: CircuitProfile, t_r_s: float | None = None) -> flo
     return t_r_s
 
 
+def _attempt_energy_per_bit(
+    pt_watts: float, gain: float, t_on: float, circuit: CircuitProfile, radio: RadioConfig
+) -> float:
+    """Energy per bit (J) of one attempt at pt_watts, given the amplifier
+    drain per watt radiated (gain = 1 + amplifier overhead) and the on-air
+    time t_on."""
+    packet_energy = (gain * pt_watts + circuit.pct_w + circuit.pcr_w) * t_on
+    packet_energy += circuit.ptr_w * circuit.ttr_s
+    return packet_energy / radio.packet_bits
+
+
 def single_tx_energy_per_bit(
     pt_watts: float,
     scheme: ModulationScheme,
@@ -144,15 +157,15 @@ def single_tx_energy_per_bit(
     """Energy per bit (J) of one transmission attempt, sleep power excluded."""
     if pt_watts < 0:
         raise ValueError(f"pt_watts must be nonnegative, got {pt_watts}")
-    alpha = amplifier_overhead(scheme, circuit.eta)
-    t_on = on_time(radio, scheme)
-    packet_energy = ((1.0 + alpha) * pt_watts + circuit.pct_w + circuit.pcr_w) * t_on
-    packet_energy += circuit.ptr_w * circuit.ttr_s
-    return packet_energy / radio.packet_bits
+    return _attempt_energy_per_bit(pt_watts, 1.0 + amplifier_overhead(scheme, circuit.eta),
+                                   on_time(radio, scheme), circuit, radio)
 
 
 def _hop_unusable(distance_m: float, reason: str) -> UnreachableLinkError:
     return UnreachableLinkError(f"{distance_m} m hop is unusable: {reason}")
+
+
+_HopCost = Callable[[float], tuple[float, float, float, float, float, float]]
 
 
 def hop_costs(
@@ -163,44 +176,58 @@ def hop_costs(
     radio: RadioConfig,
     prop: PropagationParams,
     t_r_s: float | None = None,
-) -> Callable[[float], tuple[float, float, float, float, float, float]]:
-    """A hop's figures as a function of its length: `cost(distance_m)`
-    returns the fields of LinkMetrics, in their declaration order, as a
-    plain tuple.
+) -> tuple[_HopCost, float, float | None]:
+    """A hop's figures as a function of its length, with the per-attempt
+    figures they are bounded by: `(cost, attempt_s, e_single)`.
+    `cost(distance_m)` returns the fields of LinkMetrics, in their
+    declaration order, as a plain tuple.
 
     The parts that do not depend on the length are computed here, once:
     the required mean bit SNR and the receive threshold, the time of one
-    attempt (on-air time plus the overhead t_r_s, which defaults to the
-    transient duration), and under a fixed policy the transmit power and
-    the single-attempt energy. A variable-power hop lands exactly on the
+    attempt `attempt_s` (on-air time plus the overhead t_r_s, which
+    defaults to the transient duration), the amplifier overhead, and
+    under a fixed policy the transmit power and the single-attempt energy
+    `e_single` (None under a variable policy, whose transmit power
+    follows the length). A variable-power hop lands exactly on the
     threshold, so its outage probability is 1/2. Failed attempts repeat
-    until success, so energy and delay are the per-attempt figures over
-    1 - p_link.
+    until success, so energy and delay are `e_single` and `attempt_s`
+    divided by the float 1 - p_link, which lies in (0, 1]: every hop's
+    delay is at least `attempt_s`, and under a fixed policy every hop's
+    energy is at least `e_single`, in floating point too.
 
     Raises InfeasibleTargetError here for a target the constellation
     cannot meet, and ValueError for a t_r_s that `attempt_overhead`
-    rejects. `cost` raises UnreachableLinkError for a hop whose
-    receive threshold has no finite dBm value, one shorter than d0, one
-    whose outage probability rounds to 1, and one whose transmit power,
-    energy or delay falls outside the double range.
+    rejects. `cost` applies the distance rule of `channel` first: it
+    raises ValueError for a length that is not positive and finite, and
+    UnreachableLinkError for one shorter than d0. It then raises
+    UnreachableLinkError for a hop whose receive threshold has no finite
+    dBm value, one whose outage probability rounds to 1, and one whose
+    transmit power, energy or delay falls outside the double range.
     """
     gamma = required_gamma_b(target, scheme)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
     pmin_dbm = watts_to_dbm(pmin_w) if pmin_w > 0.0 else -math.inf
-    attempt_s = on_time(radio, scheme) + attempt_overhead(circuit, t_r_s)
-    fixed = None
+    t_on = on_time(radio, scheme)
+    attempt_s = t_on + attempt_overhead(circuit, t_r_s)
+    gain = 1.0 + amplifier_overhead(scheme, circuit.eta)
+    fixed_dbm = e_fixed = None
     if isinstance(policy, FixedPower):
         # a FixedPower is positive and finite, so its dBm value is finite
-        fixed = (watts_to_dbm(policy.pt_watts),
-                 single_tx_energy_per_bit(policy.pt_watts, scheme, circuit, radio))
+        fixed_dbm = watts_to_dbm(policy.pt_watts)
+        e_fixed = _attempt_energy_per_bit(policy.pt_watts, gain, t_on, circuit, radio)
 
-    def cost(distance_m: float) -> tuple[float, float, float, float, float, float]:
-        if not math.isfinite(pmin_dbm):
+    if not math.isfinite(pmin_dbm):
+        def unusable(distance_m: float) -> tuple[float, float, float, float, float, float]:
+            path_loss_db(distance_m, prop)  # for its distance rule, which comes first
             raise _hop_unusable(
                 distance_m, f"its receive threshold {pmin_w} W has no finite dBm value"
             )
-        if fixed is not None:
-            pt_dbm, e_single = fixed
+
+        return unusable, attempt_s, e_fixed
+
+    def cost(distance_m: float) -> tuple[float, float, float, float, float, float]:
+        if e_fixed is not None:
+            pt_dbm, e_single = fixed_dbm, e_fixed
         else:
             pt_dbm = required_pt_dbm(pmin_dbm, distance_m, prop)
             pt_w = dbm_to_watts(pt_dbm)
@@ -208,7 +235,7 @@ def hop_costs(
                 raise _hop_unusable(
                     distance_m, f"its transmit power {pt_dbm:.6g} dBm is beyond the double range"
                 )
-            e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
+            e_single = _attempt_energy_per_bit(pt_w, gain, t_on, circuit, radio)
         p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
         if p_link >= 1.0:
             raise _hop_unusable(
@@ -224,7 +251,7 @@ def hop_costs(
             )
         return p_link, energy, delay, pt_dbm, pmin_dbm, gamma
 
-    return cost
+    return cost, attempt_s, e_fixed
 
 
 def link_metrics(
@@ -241,7 +268,8 @@ def link_metrics(
     delay: `hop_costs` evaluated at one length. Raises as `hop_costs` and
     its `cost` do.
     """
-    return LinkMetrics(*hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)(distance_m))
+    cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)[0]
+    return LinkMetrics(*cost(distance_m))
 
 
 def energy_to_dbmj(energy_j: float) -> float:

@@ -5,7 +5,11 @@ or sleeping; a route is the bitmask of forwarding relays, giving 2^N
 candidates. Route cost is the sum of independent per-hop costs that
 depend only on the hop's index gap, so the cheapest route is a shortest
 path over the N+2 nodes (`shortest_route`), found in O(N^2) from one
-`energy.hop_costs` call and N+1 evaluations of the hop it returns.
+`energy.hop_costs` call and at most N+1 evaluations of the hop it
+returns. The search stops at the direct hop, with the route the shortest
+path would pick, when no route through a relay can beat it: when the
+direct hop costs less than twice a figure every hop's cost is bounded by
+(`optimal_route` gives the two checks and why they are exact).
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ class Route:
 
 @dataclass(frozen=True)
 class RouteResult:
+    """A route with its expected energy and delay, summed over its hops in
+    order from the source, and the figures of each hop."""
+
     route: Route
     total_energy_per_bit: float  # J/bit summed over hops
     total_delay: float  # s summed over hops
@@ -207,31 +214,60 @@ def optimal_route(
     DAG whose edge (i, j) is one hop of length (j - i) * spacing; additive
     hop costs make the shortest path the cheapest route, with the tie rule
     of `shortest_route`. One `hop_costs` call resolves the receive
-    threshold, and each of the N + 1 hop lengths is evaluated once. A gap
-    whose hop cannot carry traffic (a threshold with no finite dBm value,
-    shorter than d0, or outage rounding to 1) is no edge.
+    threshold, and each of the N + 1 hop lengths is evaluated at most
+    once, the direct hop first. A gap whose hop cannot carry traffic (a
+    threshold with no finite dBm value, shorter than d0, or outage
+    rounding to 1) is no edge.
+
+    The search returns the direct hop early when it costs less than twice
+    a lower bound L on every hop's cost:
+    - before any other hop is evaluated, with L the per-attempt figure
+      `hop_costs` returns when it is the same for every hop: the attempt
+      time for 'delay', and the single-attempt energy for 'energy' under
+      a fixed power;
+    - after all N + 1 hops are evaluated, with L the cheapest of them,
+      without running the shortest path.
+    Both are exact in floating point, so the route, its totals and its
+    hops are those the shortest path would give, bit for bit. A route
+    through a relay sums at least two hops, each costing at least L,
+    and rounding is monotone, so its cost is at least fl(L + L) = 2L,
+    which is more than the direct hop's: the destination keeps
+    predecessor 0.
+
     UnreachableLinkError is raised when no route is left, quoting the
-    direct hop's error, or when the cheapest route's total energy or delay
-    overflows.
+    direct hop's error, or when the cheapest route's total energy or
+    delay overflows.
     """
     if objective not in _HOP_COST_INDEX:
         raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
-    cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
+    cost, attempt_s, e_single = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
     index = _HOP_COST_INDEX[objective]
+    floor = attempt_s if objective == "delay" else e_single
+    direct_gap = n_nodes - 1
     costs: dict[int, tuple[float, ...]] = {}
     hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
-    unreachable: UnreachableLinkError | None = None
-    for gap in range(1, n_nodes):
+    try:
+        costs[direct_gap] = cost(direct_gap * net.spacing_m)
+    except UnreachableLinkError as exc:
+        direct_error = exc
+    else:
+        hop_cost[direct_gap] = costs[direct_gap][index]
+        if floor is not None and hop_cost[direct_gap] < 2.0 * floor:
+            return _assemble(Route(0), net, {direct_gap: LinkMetrics(*costs[direct_gap])})
+    for gap in range(1, direct_gap):
         try:
             costs[gap] = cost(gap * net.spacing_m)
-        except UnreachableLinkError as exc:
-            unreachable = exc
+        except UnreachableLinkError:
             continue
         hop_cost[gap] = costs[gap][index]
-    route = shortest_route(n_nodes, lambda i, j: hop_cost[j - i])
-    if route is None:
-        # the direct hop is then unusable too, and it was the last one tried
-        raise _no_route(net, unreachable)
+    # an unusable direct hop costs inf, which is never below the bound
+    if hop_cost[direct_gap] < 2.0 * min(hop_cost):
+        route = Route(0)
+    else:
+        route = shortest_route(n_nodes, lambda i, j: hop_cost[j - i])
+        if route is None:
+            # the direct hop is then unusable too
+            raise _no_route(net, direct_error)
     metrics = {gap: LinkMetrics(*costs[gap]) for gap in set(_hop_gaps(route, net))}
     return _assemble(route, net, metrics)

@@ -160,8 +160,8 @@ class TestExpectations:
                       circuit, radio, prop, t_r_s=t_r_s)
 
     def test_delay_rejects_certain_outage(self, circuit, radio, prop):
-        cost = hop_costs(FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
-                         circuit, radio, prop, t_r_s=0.25)
+        cost, _, _ = hop_costs(FixedPower(0.1), ModulationScheme(2), BerTarget(1e-4),
+                               circuit, radio, prop, t_r_s=0.25)
         with pytest.raises(UnreachableLinkError, match="rounds to 1"):
             cost(10_000.0)
 
@@ -268,11 +268,20 @@ def _bits(m):
 class TestThresholdAndHop:
     """`hop_costs` resolves the threshold and the function it returns the
     hop: that tuple is `link_metrics` bit for bit in every field, and both
-    are the one-pass arithmetic."""
+    are the one-pass arithmetic. The per-attempt figures it returns with
+    the function are the one-pass attempt time and fixed-power energy."""
 
     @staticmethod
     def outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s):
-        cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
+        cost, attempt_s, e_single = hop_costs(policy, scheme, target, circuit, radio, prop,
+                                              t_r_s)
+        overhead = circuit.ttr_s if t_r_s is None else t_r_s
+        assert attempt_s.hex() == (on_time(radio, scheme) + overhead).hex()
+        if isinstance(policy, FixedPower):
+            assert e_single.hex() == single_tx_energy_per_bit(
+                policy.pt_watts, scheme, circuit, radio).hex()
+        else:
+            assert e_single is None
         try:
             via_link = link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s)
         except UnreachableLinkError as exc:
@@ -322,13 +331,30 @@ class TestThresholdAndHop:
         message = "7.5 m hop is unusable: its receive threshold 0.0 W has no finite dBm value"
         for policy in (FixedPower(0.1), VariablePower()):
             args = (policy, ModulationScheme(4), BerTarget(0.234375), circuit, radio, prop)
-            cost = hop_costs(*args)
+            cost = hop_costs(*args)[0]
             with pytest.raises(UnreachableLinkError) as exc:
                 cost(7.5)
             assert str(exc.value) == message
             with pytest.raises(UnreachableLinkError) as exc:
                 link_metrics(7.5, *args)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
+    @pytest.mark.parametrize("distance_m, error", [
+        (-5.0, ValueError),
+        (0.5, UnreachableLinkError),  # inside the far-field reference d0 = 1 m
+    ])
+    def test_distance_rule_comes_before_the_threshold(self, circuit, radio, prop, policy,
+                                                      distance_m, error):
+        # the 0 W threshold of test_threshold_names_no_hop: the length is
+        # judged first, by the rule of `channel`
+        args = (policy, ModulationScheme(4), BerTarget(0.234375), circuit, radio, prop)
+        for evaluate in (hop_costs(*args)[0], lambda d: link_metrics(d, *args)):
+            with pytest.raises(ValueError) as raised:
+                evaluate(distance_m)
+            # UnreachableLinkError is a ValueError: the class must match exactly
+            assert type(raised.value) is error
+            assert "threshold" not in str(raised.value)
 
     def test_infeasible_target_raises_on_the_call(self, circuit, radio, prop):
         # 1024-QAM cannot reach 0.2 at any SNR: no hop function is returned

@@ -1,16 +1,18 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from mqamlink import energy, network
 from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts
-from mqamlink.config import ConfigError, RunConfig
+from mqamlink.config import ConfigError, RunConfig, parse_config
 from mqamlink.energy import (
     FixedPower,
     LinkMetrics,
     VariablePower,
+    hop_costs,
     link_metrics,
     single_tx_energy_per_bit,
 )
@@ -19,12 +21,13 @@ from mqamlink.network import (
     MAX_RELAYS,
     LinearNetwork,
     Route,
+    RouteResult,
     optimal_route,
     route_cost,
     route_hops,
     shortest_route,
 )
-from mqamlink.sweep import run_joint
+from mqamlink.sweep import run_joint, run_multihop
 from route_oracle import exhaustive_route, oracle_route
 
 NET = LinearNetwork(100.0, 9)
@@ -271,6 +274,188 @@ class TestOptimalRoute:
             circuit, radio, prop,
         )
         assert sum(route_hops(best.route, net)) == pytest.approx(300.0, rel=1e-12)
+
+
+def _reference_route(net, policy, scheme, target, circuit, radio, prop, objective, t_r_s):
+    """The search without its early returns: every hop from `hop_costs`,
+    then `shortest_route`, the totals summed from the source. Returns the
+    RouteResult, or the direct hop's error when no route is usable."""
+    cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)[0]
+    figures, error = {}, None
+    for gap in range(1, net.relay_count + 2):
+        try:
+            figures[gap] = LinkMetrics(*cost(gap * net.spacing_m))
+        except UnreachableLinkError as exc:
+            error = exc
+    field = "energy_per_bit" if objective == "energy" else "delay"
+    route = shortest_route(net.relay_count + 2, lambda i, j: (
+        getattr(figures[j - i], field) if j - i in figures else math.inf))
+    if route is None:
+        return error
+    nodes = [0, *(i + 1 for i in range(net.relay_count) if route.active_mask >> i & 1),
+             net.relay_count + 1]
+    hops = tuple(figures[right - left] for left, right in zip(nodes, nodes[1:]))
+    energy_total = delay_total = 0.0
+    for hop in hops:
+        energy_total += hop.energy_per_bit
+        delay_total += hop.delay
+    return RouteResult(route, energy_total, delay_total, hops)
+
+
+def _bits(result):
+    return (result.route.active_mask, result.total_energy_per_bit.hex(),
+            result.total_delay.hex(), [[v.hex() for v in astuple(h)] for h in result.per_hop])
+
+
+class TestDirectHopChecks:
+    """`optimal_route` returns the direct hop early when it costs less than
+    twice a bound on every hop: before the other hops are evaluated, or
+    before the shortest path runs. Either way it returns what the full
+    search returns, bit for bit."""
+
+    @staticmethod
+    def search(monkeypatch, args):
+        """optimal_route(*args) with its work recorded: the outcome (the
+        RouteResult or the error), the hop lengths evaluated in order, and
+        the number of shortest-path runs."""
+        lengths, runs = [], []
+
+        def recorded_hop_costs(*hop_args):
+            cost, attempt_s, e_single = hop_costs(*hop_args)
+
+            def recorded(distance_m):
+                lengths.append(distance_m)
+                return cost(distance_m)
+
+            return recorded, attempt_s, e_single
+
+        def recorded_shortest_route(*route_args):
+            runs.append(route_args)
+            return shortest_route(*route_args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "hop_costs", recorded_hop_costs)
+            patch.setattr(network, "shortest_route", recorded_shortest_route)
+            try:
+                outcome = optimal_route(*args)
+            except UnreachableLinkError as exc:
+                outcome = exc
+        return outcome, lengths, len(runs)
+
+    def check(self, monkeypatch, args):
+        """Compare one search with the reference and the oracle, and name
+        the path it took: 'before', 'after', 'dp' or 'error'."""
+        net = args[0]
+        outcome, lengths, runs = self.search(monkeypatch, args)
+        reference = _reference_route(*args)
+        # the direct hop first, and no hop length twice
+        assert lengths[0] == (net.relay_count + 1) * net.spacing_m
+        assert len(set(lengths)) == len(lengths) <= net.relay_count + 1
+        oracle = oracle_route(*args)
+        if isinstance(outcome, UnreachableLinkError):
+            assert isinstance(reference, UnreachableLinkError) and oracle is None
+            assert str(outcome).startswith("no usable route")
+            assert str(outcome).endswith(f"({reference})")
+            return "error"
+        assert _bits(outcome) == _bits(reference)
+        assert outcome.route == oracle.route
+        assert (outcome.total_energy_per_bit, outcome.total_delay) == (
+            oracle.total_energy_per_bit, oracle.total_delay)
+        if runs:
+            return "dp"
+        assert outcome.route == Route(0)
+        return "after" if len(lengths) == net.relay_count + 1 else "before"
+
+    def test_seeded_sweep(self, monkeypatch, circuit, radio):
+        rng = np.random.default_rng(20261020)
+        paths = {"before": 0, "after": 0, "dp": 0, "error": 0}
+        for _ in range(400):
+            prop = PropagationParams(beta=float(rng.uniform(2.0, 4.5)),
+                                     sigma_psi_db=float(rng.uniform(1.0, 10.0)))
+            net = LinearNetwork(float(10 ** rng.uniform(0.5, 3.3)), int(rng.integers(0, 13)))
+            policy = (FixedPower(float(10 ** rng.uniform(-3.0, 0.0))) if rng.random() < 0.5
+                      else VariablePower())
+            scheme = ModulationScheme(int(rng.choice((2, 4, 6, 8, 10))))
+            target = BerTarget(float(10 ** rng.uniform(-6.0, -2.0)))
+            objective = str(rng.choice(("energy", "delay")))
+            t_r_s = None if rng.random() < 0.5 else float(10 ** rng.uniform(-7.0, -3.0))
+            args = (net, policy, scheme, target, circuit, radio, prop, objective, t_r_s)
+            paths[self.check(monkeypatch, args)] += 1
+        # every path is taken, each more than a few times
+        assert min(paths.values()) >= 10, paths
+
+    @pytest.mark.parametrize("policy, b, objective, path", [
+        (FixedPower(0.1), 2, "energy", "before"),
+        (FixedPower(0.1), 2, "delay", "before"),
+        (VariablePower(), 2, "energy", "after"),
+        (VariablePower(), 2, "delay", "after"),
+        # a relay halves the hop and wins: both checks fail
+        (FixedPower(0.1), 8, "energy", "dp"),
+    ])
+    def test_named_cases(self, monkeypatch, circuit, radio, prop, policy, b, objective, path):
+        args = (NET, policy, ModulationScheme(b), BerTarget(1e-4), circuit, radio, prop,
+                objective, None)
+        assert self.check(monkeypatch, args) == path
+
+    @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
+    @pytest.mark.parametrize("objective", ["energy", "delay"])
+    def test_no_relays(self, monkeypatch, circuit, radio, prop, policy, objective):
+        args = (LinearNetwork(100.0, 0), policy, ModulationScheme(6), BerTarget(1e-4),
+                circuit, radio, prop, objective, None)
+        assert self.check(monkeypatch, args) in ("before", "after")
+
+    def test_unusable_direct_hop_is_routed_around(self, monkeypatch, circuit, radio, prop):
+        # the saturated 2 km direct hop of test_saturated_direct_hop_is_routed_around
+        args = (LinearNetwork(2000.0, 9), FixedPower(0.005), ModulationScheme(2),
+                BerTarget(1e-4), circuit, radio, prop, "energy", None)
+        assert self.check(monkeypatch, args) == "dp"
+
+    @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
+    def test_no_usable_route_quotes_the_direct_hop(self, monkeypatch, circuit, radio, prop,
+                                                   policy):
+        # a 0 W threshold: every hop is unusable, and the message names the direct one
+        args = (LinearNetwork(40.0, 3), policy, ModulationScheme(4), BerTarget(0.234375),
+                circuit, radio, prop, "energy", None)
+        assert self.check(monkeypatch, args) == "error"
+        with pytest.raises(UnreachableLinkError) as exc:
+            optimal_route(*args)
+        assert str(exc.value) == (
+            "no usable route across 40.0 m with 3 relays: every route has a hop that cannot "
+            "carry traffic (40.0 m hop is unusable: its receive threshold 0.0 W has no finite "
+            "dBm value)")
+
+
+class TestSearchWork:
+    """Hop evaluations of the default studies, counted as calls of the
+    outage probability. The direct-hop checks cut them; a search that
+    drops a check, or evaluates the direct hop twice, reads more."""
+
+    @staticmethod
+    def evaluations(monkeypatch, study):
+        calls = []
+        outage_probability = energy.outage_probability
+
+        def counted(*args):
+            calls.append(args)
+            return outage_probability(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "outage_probability", counted)
+            study()
+        return len(calls)
+
+    @pytest.mark.parametrize("policy, objective, count", [
+        ("fixed", "energy", 52),
+        ("fixed", "delay", 52),
+        ("variable", "energy", 250),
+        ("variable", "delay", 241),
+    ])
+    def test_multihop(self, monkeypatch, policy, objective, count):
+        config = parse_config(f"policy = {policy}\n")
+        assert self.evaluations(monkeypatch, lambda: run_multihop(config, objective)) == count
+
+    def test_joint(self, monkeypatch):
+        assert self.evaluations(monkeypatch, lambda: run_joint(RunConfig())) == 541
 
 
 class TestJointOptimize:
