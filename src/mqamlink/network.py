@@ -99,13 +99,20 @@ class RouteResult:
 def _hop_gaps(route: Route, net: LinearNetwork) -> list[int]:
     """Index gaps between consecutive forwarding nodes on the line (source
     0, relays 1..N, destination N+1); they sum to N + 1."""
-    if not 0 <= route.active_mask < 2**net.relay_count:
-        raise ValueError(
-            f"mask {route.active_mask} out of range for {net.relay_count} relays"
-        )
-    relays = (i + 1 for i in range(net.relay_count) if route.active_mask >> i & 1)
-    nodes = [0, *relays, net.relay_count + 1]
-    return [right - left for left, right in zip(nodes, nodes[1:])]
+    mask, n = route.active_mask, net.relay_count
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"mask {mask} out of range for {n} relays")
+    # bit i is node i + 1, so bit N is the destination; visit the set
+    # bits only, lowest first
+    mask |= 1 << n
+    gaps, left = [], 0
+    while mask:
+        low = mask & -mask
+        node = low.bit_length()
+        gaps.append(node - left)
+        left = node
+        mask ^= low
+    return gaps
 
 
 def route_hops(route: Route, net: LinearNetwork) -> list[float]:

@@ -59,6 +59,15 @@ class TestRouteHops:
         assert Route(0b000000001).mask_string(9) == "100000000"
         assert Route(0b100000000).mask_string(9) == "000000001"
 
+    def test_every_mask_up_to_eight_relays(self):
+        # unit spacing, so each hop is its index gap exactly
+        for n in range(9):
+            net = LinearNetwork(float(n + 1), n)
+            for mask in range(2**n):
+                nodes = [0, *(i + 1 for i in range(n) if mask >> i & 1), n + 1]
+                assert route_hops(Route(mask), net) == [
+                    float(right - left) for left, right in zip(nodes, nodes[1:])]
+
 
 class TestRouteCost:
     def test_direct_route_equals_link_metrics(self, circuit, radio, prop):
