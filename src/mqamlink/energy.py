@@ -9,8 +9,12 @@ applies to the per-link delay.
 One function, `hop_costs`, evaluates a hop. It resolves what does not
 depend on the hop's length once (the BER inversion, the receive
 threshold, the attempt time) and returns the function of the length,
-with the per-attempt figures every hop's cost is bounded by. A route
-search calls it once and the returned function at most once per gap;
+with the floors every hop's energy and delay is bounded by. A
+fixed-power hop takes its outage probability from `channel`; a
+variable-power hop puts the mean received power on the receive
+threshold, so its outage probability is 1/2 by construction, and it
+computes its path loss once, for the transmit power. A route search
+calls `hop_costs` once and the returned function at most once per gap;
 `link_metrics` calls both for one hop.
 """
 
@@ -154,9 +158,10 @@ def single_tx_energy_per_bit(
     circuit: CircuitProfile,
     radio: RadioConfig,
 ) -> float:
-    """Energy per bit (J) of one transmission attempt, sleep power excluded."""
-    if pt_watts < 0:
-        raise ValueError(f"pt_watts must be nonnegative, got {pt_watts}")
+    """Energy per bit (J) of one transmission attempt, sleep power excluded.
+    Raises ValueError for a pt_watts that is negative, NaN or infinite."""
+    if not 0.0 <= pt_watts < math.inf:
+        raise ValueError(f"pt_watts must be nonnegative and finite, got {pt_watts}")
     return _attempt_energy_per_bit(pt_watts, 1.0 + amplifier_overhead(scheme, circuit.eta),
                                    on_time(radio, scheme), circuit, radio)
 
@@ -176,24 +181,29 @@ def hop_costs(
     radio: RadioConfig,
     prop: PropagationParams,
     t_r_s: float | None = None,
-) -> tuple[_HopCost, float, float | None]:
-    """A hop's figures as a function of its length, with the per-attempt
-    figures they are bounded by: `(cost, attempt_s, e_single)`.
-    `cost(distance_m)` returns the fields of LinkMetrics, in their
-    declaration order, as a plain tuple.
+) -> tuple[_HopCost, float, float]:
+    """A hop's figures as a function of its length, with the floors every
+    hop's energy and delay is bounded by: `(cost, energy_floor,
+    delay_floor)`. `cost(distance_m)` returns the fields of LinkMetrics,
+    in their declaration order, as a plain tuple.
 
     The parts that do not depend on the length are computed here, once:
     the required mean bit SNR and the receive threshold, the time of one
     attempt `attempt_s` (on-air time plus the overhead t_r_s, which
     defaults to the transient duration), the amplifier overhead, and
     under a fixed policy the transmit power and the single-attempt energy
-    `e_single` (None under a variable policy, whose transmit power
-    follows the length). A variable-power hop lands exactly on the
-    threshold, so its outage probability is 1/2. Failed attempts repeat
-    until success, so energy and delay are `e_single` and `attempt_s`
-    divided by the float 1 - p_link, which lies in (0, 1]: every hop's
-    delay is at least `attempt_s`, and under a fixed policy every hop's
-    energy is at least `e_single`, in floating point too.
+    `e_single`. Failed attempts repeat until success, so energy and delay
+    are the single-attempt energy and `attempt_s` divided by the float
+    1 - p_link, which lies in (0, 1].
+
+    A fixed-power hop takes p_link from `channel.outage_probability`, and
+    its floors are `e_single` and `attempt_s`. A variable-power hop puts
+    the mean received power exactly on the threshold, so p_link is 1/2
+    and its energy and delay are exact doublings; its transmit power
+    follows the length but radiates at least 0 W, so its floors are twice
+    the energy of an attempt at 0 W and twice `attempt_s`. Rounding is
+    monotone, so every hop's figures are at least these floors in
+    floating point too.
 
     Raises InfeasibleTargetError here for a target the constellation
     cannot meet, and ValueError for a t_r_s that `attempt_overhead`
@@ -201,8 +211,9 @@ def hop_costs(
     raises ValueError for a length that is not positive and finite, and
     UnreachableLinkError for one shorter than d0. It then raises
     UnreachableLinkError for a hop whose receive threshold has no finite
-    dBm value, one whose outage probability rounds to 1, and one whose
-    transmit power, energy or delay falls outside the double range.
+    dBm value, a fixed-power one whose outage probability rounds to 1,
+    and one whose transmit power, energy or delay falls outside the
+    double range.
     """
     gamma = required_gamma_b(target, scheme)
     pmin_w = min_received_power_watts(gamma, scheme, radio)
@@ -215,6 +226,11 @@ def hop_costs(
         # a FixedPower is positive and finite, so its dBm value is finite
         fixed_dbm = watts_to_dbm(policy.pt_watts)
         e_fixed = _attempt_energy_per_bit(policy.pt_watts, gain, t_on, circuit, radio)
+        energy_floor, delay_floor = e_fixed, attempt_s
+    else:
+        # p_link = 1/2 doubles an attempt, which radiates at least 0 W
+        energy_floor = 2.0 * _attempt_energy_per_bit(0.0, gain, t_on, circuit, radio)
+        delay_floor = 2.0 * attempt_s
 
     if not math.isfinite(pmin_dbm):
         def unusable(distance_m: float) -> tuple[float, float, float, float, float, float]:
@@ -223,11 +239,17 @@ def hop_costs(
                 distance_m, f"its receive threshold {pmin_w} W has no finite dBm value"
             )
 
-        return unusable, attempt_s, e_fixed
+        return unusable, energy_floor, delay_floor
 
     def cost(distance_m: float) -> tuple[float, float, float, float, float, float]:
         if e_fixed is not None:
             pt_dbm, e_single = fixed_dbm, e_fixed
+            p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
+            if p_link >= 1.0:
+                raise _hop_unusable(
+                    distance_m, f"its outage probability rounds to 1 "
+                    f"(P_t {pt_dbm:.6g} dBm, threshold {pmin_dbm:.6g} dBm)"
+                )
         else:
             pt_dbm = required_pt_dbm(pmin_dbm, distance_m, prop)
             pt_w = dbm_to_watts(pt_dbm)
@@ -235,13 +257,7 @@ def hop_costs(
                 raise _hop_unusable(
                     distance_m, f"its transmit power {pt_dbm:.6g} dBm is beyond the double range"
                 )
-            e_single = _attempt_energy_per_bit(pt_w, gain, t_on, circuit, radio)
-        p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
-        if p_link >= 1.0:
-            raise _hop_unusable(
-                distance_m, f"its outage probability rounds to 1 "
-                f"(P_t {pt_dbm:.6g} dBm, threshold {pmin_dbm:.6g} dBm)"
-            )
+            p_link, e_single = 0.5, _attempt_energy_per_bit(pt_w, gain, t_on, circuit, radio)
         energy = e_single / (1.0 - p_link)
         delay = attempt_s / (1.0 - p_link)
         if not (0.0 < energy < math.inf and delay < math.inf):
@@ -251,7 +267,7 @@ def hop_costs(
             )
         return p_link, energy, delay, pt_dbm, pmin_dbm, gamma
 
-    return cost, attempt_s, e_fixed
+    return cost, energy_floor, delay_floor
 
 
 def link_metrics(

@@ -254,8 +254,9 @@ def required_gamma_b(target: BerTarget, scheme: ModulationScheme) -> float:
 def min_received_power_watts(
     gamma_b_bar: float, scheme: ModulationScheme, radio: RadioConfig
 ) -> float:
-    """Minimum average received power (W) sustaining the given mean bit SNR."""
-    if gamma_b_bar < 0:
-        raise ValueError(f"gamma_b_bar must be nonnegative, got {gamma_b_bar}")
+    """Minimum average received power (W) sustaining the given mean bit SNR.
+    Raises ValueError for a gamma_b_bar that is NaN, infinite or negative."""
+    if not 0.0 <= gamma_b_bar < math.inf:
+        raise ValueError(f"gamma_b_bar must be finite and nonnegative, got {gamma_b_bar}")
     return gamma_b_bar * radio.n0_w_per_hz * radio.bandwidth_hz * scheme.b
 

@@ -228,10 +228,10 @@ def optimal_route(
 
     The search returns the direct hop early when it costs less than twice
     a lower bound L on every hop's cost:
-    - before any other hop is evaluated, with L the per-attempt figure
-      `hop_costs` returns when it is the same for every hop: the attempt
-      time for 'delay', and the single-attempt energy for 'energy' under
-      a fixed power;
+    - before any other hop is evaluated, with L the floor `hop_costs`
+      returns for the objective, under either power policy (a
+      variable-power delay route is always the direct hop: every hop's
+      delay equals its floor);
     - after all N + 1 hops are evaluated, with L the cheapest of them,
       without running the shortest path.
     Both are exact in floating point, so the route, its totals and its
@@ -248,9 +248,9 @@ def optimal_route(
     if objective not in _HOP_COST_INDEX:
         raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
-    cost, attempt_s, e_single = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
+    cost, energy_floor, delay_floor = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
     index = _HOP_COST_INDEX[objective]
-    floor = attempt_s if objective == "delay" else e_single
+    floor = delay_floor if objective == "delay" else energy_floor
     direct_gap = n_nodes - 1
     costs: dict[int, tuple[float, ...]] = {}
     hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
@@ -260,7 +260,7 @@ def optimal_route(
         direct_error = exc
     else:
         hop_cost[direct_gap] = costs[direct_gap][index]
-        if floor is not None and hop_cost[direct_gap] < 2.0 * floor:
+        if hop_cost[direct_gap] < 2.0 * floor:
             return _assemble(Route(0), net, {direct_gap: LinkMetrics(*costs[direct_gap])})
     for gap in range(1, direct_gap):
         try:

@@ -1,0 +1,46 @@
+"""`tests/compare_outputs.py`, run on this tree against itself."""
+
+import shutil
+
+from compare_outputs import SRC, main, runs
+
+
+def test_runs_cover_every_command_and_policy():
+    files, planned = runs(2, seed=5)
+    assert sorted(files) == ["config_0.txt", "config_1.txt"]
+    assert [(name, policy, argv[:3]) for name, policy, argv in planned][:7] == [
+        ("config_0.txt", "fixed", ["singlehop", "--config", "config_0.txt"]),
+        ("config_0.txt", "variable", ["singlehop", "--config", "config_0.txt"]),
+        ("config_0.txt", "fixed", ["multihop", "--objective", "energy"]),
+        ("config_0.txt", "variable", ["multihop", "--objective", "energy"]),
+        ("config_0.txt", "fixed", ["multihop", "--objective", "delay"]),
+        ("config_0.txt", "variable", ["multihop", "--objective", "delay"]),
+        ("config_0.txt", "fixed", ["joint", "--config", "config_0.txt"]),
+    ]
+    # the same seed writes the same configs
+    assert runs(2, seed=5) == (files, planned)
+
+
+def test_tree_against_itself_moves_nothing(capsys):
+    assert main([str(SRC), "--configs", "4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "4 configs, 28 runs: 0 of 16 fixed-policy runs moved, "
+        "0 of 12 variable-policy runs moved\n"
+    )
+
+
+def test_moved_digits_are_listed(tmp_path, capsys):
+    # a tree that prints 11 significant digits where this one prints 12
+    other = tmp_path / "src"
+    shutil.copytree(SRC / "mqamlink", other / "mqamlink",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = other / "mqamlink" / "cli.py"
+    cli.write_text(cli.read_text().replace('f"{value:.12g}"', 'f"{value:.11g}"'))
+    assert main([str(other), "--configs", "1", "--seed", "4"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("singlehop --config config_0.txt --policy fixed --out out.csv: "
+                      "stdout, csv moved")
+    assert out[1].startswith("  config: beta = ")
+    assert out[2].startswith("  stdout - singlehop argmin: ")
+    assert out[-1] == ("1 configs, 7 runs: 4 of 4 fixed-policy runs moved, "
+                       "3 of 3 variable-policy runs moved")

@@ -4,12 +4,15 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import mqamlink.channel as channel
+import mqamlink.energy as energy
 from mqamlink.channel import (
     PropagationParams,
     ShadowedLink,
     UnreachableLinkError,
     dbm_to_watts,
     outage_probability,
+    path_loss_db,
     required_pt_dbm,
     watts_to_dbm,
 )
@@ -107,6 +110,12 @@ class TestSingleTxEnergy:
 
         parts = [transmit_part(b) for b in B_GRID]
         assert all(a > b for a, b in zip(parts, parts[1:]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_power_not_nonnegative_and_finite_rejected(self, circuit, radio, bad):
+        # a `< 0` check alone would let NaN and inf through to the energy
+        with pytest.raises(ValueError, match="pt_watts must be nonnegative and finite"):
+            single_tx_energy_per_bit(bad, ModulationScheme(2), circuit, radio)
 
 
 class TestExpectations:
@@ -250,10 +259,12 @@ def _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_
     if isinstance(policy, FixedPower):
         pt_w = policy.pt_watts
         pt_dbm = watts_to_dbm(pt_w)
+        p_link = outage_probability(ShadowedLink(d, pt_dbm, pmin_dbm), prop)
     else:
+        # the mean received power sits on the threshold
         pt_dbm = required_pt_dbm(pmin_dbm, d, prop)
         pt_w = dbm_to_watts(pt_dbm)
-    p_link = outage_probability(ShadowedLink(d, pt_dbm, pmin_dbm), prop)
+        p_link = 0.5
     e_single = single_tx_energy_per_bit(pt_w, scheme, circuit, radio)
     overhead = circuit.ttr_s if t_r_s is None else t_r_s
     return LinkMetrics(p_link, e_single / (1.0 - p_link),
@@ -265,23 +276,61 @@ def _bits(m):
     return [value.hex() for value in astuple(m)]
 
 
+def _default_grid_hops():
+    """(d, scheme, target) for every BER target and b of the default grids,
+    over the single-hop distances and the hops of the default relay line."""
+    config = RunConfig()
+    distances = sorted({*config.d_grid_m, *(gap * 10.0 for gap in range(1, 11))})
+    return [(d, ModulationScheme(b), BerTarget(pb_bar))
+            for pb_bar in sorted({config.ber_target, *config.ber_grid})
+            for b in config.b_grid for d in distances]
+
+
+def _random_hops():
+    """400 seeded hops over both policies: (d, policy, scheme, target,
+    prop, t_r_s)."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        prop = PropagationParams(beta=float(rng.uniform(2.0, 4.5)),
+                                 sigma_psi_db=float(rng.uniform(1.0, 10.0)))
+        policy = (FixedPower(float(10 ** rng.uniform(-3.0, 0.0))) if rng.random() < 0.5
+                  else VariablePower())
+        scheme = ModulationScheme(int(rng.choice(B_GRID)))
+        target = BerTarget(float(10 ** rng.uniform(-6.0, -2.0)))
+        t_r_s = None if rng.random() < 0.5 else float(10 ** rng.uniform(-7.0, -3.0))
+        d = float(10 ** rng.uniform(0.0, 3.0))
+        yield d, policy, scheme, target, prop, t_r_s
+
+
+def _every_hop(prop):
+    """The default-grid hops under both policies at `prop`, then the
+    random ones: (d, policy, scheme, target, prop, t_r_s)."""
+    for policy in (FixedPower(0.1), VariablePower()):
+        for d, scheme, target in _default_grid_hops():
+            yield d, policy, scheme, target, prop, None
+    yield from _random_hops()
+
+
 class TestThresholdAndHop:
     """`hop_costs` resolves the threshold and the function it returns the
     hop: that tuple is `link_metrics` bit for bit in every field, and both
-    are the one-pass arithmetic. The per-attempt figures it returns with
-    the function are the one-pass attempt time and fixed-power energy."""
+    are the one-pass arithmetic. The floors it returns with the function
+    are the one-pass attempt energy and time: at the fixed power, or
+    doubled at 0 W under a variable power."""
 
     @staticmethod
     def outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s):
-        cost, attempt_s, e_single = hop_costs(policy, scheme, target, circuit, radio, prop,
-                                              t_r_s)
+        cost, energy_floor, delay_floor = hop_costs(policy, scheme, target, circuit, radio,
+                                                    prop, t_r_s)
         overhead = circuit.ttr_s if t_r_s is None else t_r_s
-        assert attempt_s.hex() == (on_time(radio, scheme) + overhead).hex()
+        attempt_s = on_time(radio, scheme) + overhead
         if isinstance(policy, FixedPower):
-            assert e_single.hex() == single_tx_energy_per_bit(
-                policy.pt_watts, scheme, circuit, radio).hex()
+            e_single = single_tx_energy_per_bit(policy.pt_watts, scheme, circuit, radio)
+            assert (energy_floor.hex(), delay_floor.hex()) == (e_single.hex(), attempt_s.hex())
         else:
-            assert e_single is None
+            e_zero = single_tx_energy_per_bit(0.0, scheme, circuit, radio)
+            assert (energy_floor.hex(), delay_floor.hex()) == (
+                (2.0 * e_zero).hex(), (2.0 * attempt_s).hex())
         try:
             via_link = link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s=t_r_s)
         except UnreachableLinkError as exc:
@@ -291,6 +340,7 @@ class TestThresholdAndHop:
             return None
         via_cost = cost(d)
         assert type(via_cost) is tuple
+        assert via_link.energy_per_bit >= energy_floor and via_link.delay >= delay_floor
         reference = _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s)
         assert _bits(LinkMetrics(*via_cost)) == _bits(via_link) == _bits(reference)
         return via_link
@@ -298,30 +348,14 @@ class TestThresholdAndHop:
     @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
     @pytest.mark.parametrize("t_r_s", [None, 1e-5])
     def test_default_grids(self, circuit, radio, prop, policy, t_r_s):
-        config = RunConfig()
-        # the single-hop distances and the hops of the default relay line
-        distances = sorted({*config.d_grid_m, *(gap * 10.0 for gap in range(1, 11))})
-        evaluated = 0
-        for pb_bar in {config.ber_target, *config.ber_grid}:
-            for b in config.b_grid:
-                for d in distances:
-                    evaluated += self.outcome(d, policy, ModulationScheme(b), BerTarget(pb_bar),
-                                              circuit, radio, prop, t_r_s) is not None
-        assert evaluated == 5 * 5 * len(distances)
+        hops = _default_grid_hops()
+        evaluated = sum(self.outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s)
+                        is not None for d, scheme, target in hops)
+        assert evaluated == len(hops)
 
     def test_random_points(self, circuit, radio):
-        rng = np.random.default_rng(20261018)
-        errors = 0
-        for _ in range(400):
-            prop = PropagationParams(beta=float(rng.uniform(2.0, 4.5)),
-                                     sigma_psi_db=float(rng.uniform(1.0, 10.0)))
-            policy = (FixedPower(float(10 ** rng.uniform(-3.0, 0.0))) if rng.random() < 0.5
-                      else VariablePower())
-            scheme = ModulationScheme(int(rng.choice(B_GRID)))
-            target = BerTarget(float(10 ** rng.uniform(-6.0, -2.0)))
-            t_r_s = None if rng.random() < 0.5 else float(10 ** rng.uniform(-7.0, -3.0))
-            d = float(10 ** rng.uniform(0.0, 3.0))
-            errors += self.outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s) is None
+        errors = sum(self.outcome(d, policy, scheme, target, circuit, radio, prop, t_r_s) is None
+                     for d, policy, scheme, target, prop, t_r_s in _random_hops())
         # saturated hops take the error path, and most points do not
         assert 0 < errors < 100
 
@@ -361,6 +395,65 @@ class TestThresholdAndHop:
         with pytest.raises(InfeasibleTargetError):
             hop_costs(FixedPower(0.1), ModulationScheme(10), BerTarget(0.2),
                       circuit, radio, prop)
+
+
+class TestHopOutage:
+    """A variable-power hop sits on its receive threshold, so its outage
+    probability is 1/2 exactly; a fixed-power hop's is the one of
+    `channel`. Either way one evaluation computes one path loss."""
+
+    def test_variable_outage_is_exactly_half(self, circuit, radio, prop):
+        variable = 0
+        for d, policy, scheme, target, hop_prop, t_r_s in _every_hop(prop):
+            if isinstance(policy, VariablePower):
+                m = link_metrics(d, policy, scheme, target, circuit, radio, hop_prop, t_r_s)
+                assert m.p_link == 0.5
+                assert (m.energy_per_bit, m.delay) == (
+                    2.0 * single_tx_energy_per_bit(dbm_to_watts(m.pt_dbm), scheme, circuit,
+                                                   radio),
+                    2.0 * (on_time(radio, scheme) + attempt_overhead(circuit, t_r_s)))
+                variable += 1
+        # the 325 default-grid hops and 212 random ones, none unusable
+        assert variable == 537
+
+    def test_fixed_outage_is_the_channel_model(self, circuit, radio, prop):
+        fixed = 0
+        for d, policy, scheme, target, hop_prop, t_r_s in _every_hop(prop):
+            if isinstance(policy, FixedPower):
+                try:
+                    m = link_metrics(d, policy, scheme, target, circuit, radio, hop_prop, t_r_s)
+                except UnreachableLinkError:
+                    continue
+                assert m.p_link.hex() == outage_probability(
+                    ShadowedLink(d, m.pt_dbm, m.pmin_dbm), hop_prop).hex()
+                fixed += 1
+        # the 325 default-grid hops and 171 of the 188 random ones: the rest saturate
+        assert fixed == 496
+
+    def test_one_path_loss_per_evaluation(self, monkeypatch, circuit, radio, prop):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return path_loss_db(*args)
+
+        monkeypatch.setattr(channel, "path_loss_db", counted)
+        monkeypatch.setattr(energy, "path_loss_db", counted)
+        # the 0 W threshold of TestThresholdAndHop.test_threshold_names_no_hop
+        unusable = [(7.5, policy, ModulationScheme(4), BerTarget(0.234375), prop, None)
+                    for policy in (FixedPower(0.1), VariablePower())]
+        evaluations = 0
+        for d, policy, scheme, target, hop_prop, t_r_s in [*_every_hop(prop), *unusable]:
+            cost = hop_costs(policy, scheme, target, circuit, radio, hop_prop, t_r_s)[0]
+            assert not calls
+            try:
+                cost(d)
+            except UnreachableLinkError:
+                pass
+            assert len(calls) == 1, (d, policy)
+            calls.clear()
+            evaluations += 1
+        assert evaluations == 2 * len(_default_grid_hops()) + 400 + 2
 
 
 class TestDbmj:

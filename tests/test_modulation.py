@@ -342,6 +342,12 @@ class TestMinReceivedPower:
         p4 = min_received_power_watts(7.0, ModulationScheme(4), radio)
         assert p4 == pytest.approx(2 * p2, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_snr_not_nonnegative_and_finite_rejected(self, radio, bad):
+        # a `< 0` check alone would let NaN and inf through to the power
+        with pytest.raises(ValueError, match="gamma_b_bar must be finite and nonnegative"):
+            min_received_power_watts(bad, ModulationScheme(4), radio)
+
 
 class TestInstantaneousSer:
     def test_zero_snr_qpsk(self):

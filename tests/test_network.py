@@ -5,8 +5,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from mqamlink import energy, network
-from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts
+from mqamlink import channel, network
+from mqamlink.channel import PropagationParams, UnreachableLinkError, dbm_to_watts, path_loss_db
 from mqamlink.config import ConfigError, RunConfig, parse_config
 from mqamlink.energy import (
     FixedPower,
@@ -330,13 +330,13 @@ class TestDirectHopChecks:
         lengths, runs = [], []
 
         def recorded_hop_costs(*hop_args):
-            cost, attempt_s, e_single = hop_costs(*hop_args)
+            cost, energy_floor, delay_floor = hop_costs(*hop_args)
 
             def recorded(distance_m):
                 lengths.append(distance_m)
                 return cost(distance_m)
 
-            return recorded, attempt_s, e_single
+            return recorded, energy_floor, delay_floor
 
         def recorded_shortest_route(*route_args):
             runs.append(route_args)
@@ -396,8 +396,8 @@ class TestDirectHopChecks:
     @pytest.mark.parametrize("policy, b, objective, path", [
         (FixedPower(0.1), 2, "energy", "before"),
         (FixedPower(0.1), 2, "delay", "before"),
-        (VariablePower(), 2, "energy", "after"),
-        (VariablePower(), 2, "delay", "after"),
+        (VariablePower(), 2, "energy", "before"),
+        (VariablePower(), 2, "delay", "before"),
         # a relay halves the hop and wins: both checks fail
         (FixedPower(0.1), 8, "energy", "dp"),
     ])
@@ -436,28 +436,40 @@ class TestDirectHopChecks:
 
 class TestSearchWork:
     """Hop evaluations of the default studies, counted as calls of the
-    outage probability. The direct-hop checks cut them; a search that
-    drops a check, or evaluates the direct hop twice, reads more."""
+    function `hop_costs` returns, each of which computes one path loss.
+    The direct-hop checks cut them; a search that drops a check, or
+    evaluates the direct hop twice, reads more."""
 
     @staticmethod
     def evaluations(monkeypatch, study):
-        calls = []
-        outage_probability = energy.outage_probability
+        hops, path_losses = [], []
 
-        def counted(*args):
-            calls.append(args)
-            return outage_probability(*args)
+        def counted_hop_costs(*hop_args):
+            cost, energy_floor, delay_floor = hop_costs(*hop_args)
+
+            def counted(distance_m):
+                hops.append(distance_m)
+                return cost(distance_m)
+
+            return counted, energy_floor, delay_floor
+
+        def counted_path_loss(*args):
+            path_losses.append(args)
+            return path_loss_db(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(energy, "outage_probability", counted)
+            patch.setattr(network, "hop_costs", counted_hop_costs)
+            patch.setattr(channel, "path_loss_db", counted_path_loss)
             study()
-        return len(calls)
+        assert len(path_losses) == len(hops)
+        return len(hops)
 
     @pytest.mark.parametrize("policy, objective, count", [
         ("fixed", "energy", 52),
         ("fixed", "delay", 52),
-        ("variable", "energy", 250),
-        ("variable", "delay", 241),
+        # every variable-power delay route is the direct hop
+        ("variable", "energy", 97),
+        ("variable", "delay", 25),
     ])
     def test_multihop(self, monkeypatch, policy, objective, count):
         config = parse_config(f"policy = {policy}\n")

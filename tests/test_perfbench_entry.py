@@ -107,6 +107,7 @@ def test_program_link_call():
     m = link_metrics(50.0, config.power_policy(), ModulationScheme(6), BerTarget(1e-4),
                      config.circuit(), config.radio(), config.propagation(),
                      t_r_s=config.resolved_t_r_s())
-    assert m.p_link == pytest.approx(0.5, abs=1e-12)
+    # a variable-power hop sits on its threshold: 1/2 exactly
+    assert m.p_link == 0.5
     # the per-attempt overhead is t_r_s, not ttr_s: 20000 bits at 6 bits per symbol over 1e4 Hz
     assert m.delay == pytest.approx((20000 / (6 * 1e4) + 1e-5) / 0.5, rel=1e-12)
