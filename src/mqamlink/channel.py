@@ -57,12 +57,20 @@ class MonteCarloStopped(Exception):
 
 
 class UnreachableLinkError(ValueError):
-    """Hop that cannot carry traffic: shorter than the far-field reference
-    distance, or so deep in outage that its outage probability rounds to 1."""
+    """Hop or route that cannot carry traffic. A hop cannot when it is
+    shorter than the far-field reference distance, when its receive
+    threshold has no finite dBm value, when it is so deep in outage that
+    its outage probability rounds to 1, or when its transmit power,
+    energy or delay lies beyond the double range. A route cannot when its
+    total energy or delay does, and a search raises it when no usable
+    route is left."""
 
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """Power in watts; inf for a power beyond the double range."""
+    """Power in watts; inf for a power beyond the double range. Raises
+    ValueError for NaN."""
+    if math.isnan(p_dbm):
+        raise ValueError(f"power must be a number to express in watts, got {p_dbm} dBm")
     try:
         return 1e-3 * 10.0 ** (p_dbm / 10.0)
     except OverflowError:
@@ -70,7 +78,10 @@ def dbm_to_watts(p_dbm: float) -> float:
 
 
 def watts_to_dbm(p_watts: float) -> float:
-    if p_watts <= 0:
+    """Power in dBm; inf for an infinite power, which `energy.hop_costs`
+    reports as a receive threshold with no finite dBm value. Raises
+    ValueError for a power that is not positive, NaN included."""
+    if not p_watts > 0:
         raise ValueError(f"power must be positive to express in dBm, got {p_watts} W")
     return 10.0 * math.log10(p_watts / 1e-3)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import Callable, ClassVar, NamedTuple, Union
 
 from .channel import (
     PropagationParams,
@@ -105,9 +105,8 @@ class VariablePower:
 PowerPolicy = Union[FixedPower, VariablePower]
 
 
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Computed figures for one hop."""
+class LinkMetrics(NamedTuple):
+    """Computed figures for one hop, the record the hop function returns."""
 
     p_link: float
     energy_per_bit: float  # expected J/bit including retransmissions
@@ -170,7 +169,7 @@ def _hop_unusable(distance_m: float, reason: str) -> UnreachableLinkError:
     return UnreachableLinkError(f"{distance_m} m hop is unusable: {reason}")
 
 
-_HopCost = Callable[[float], tuple[float, float, float, float, float, float]]
+_HopCost = Callable[[float], LinkMetrics]
 
 
 def hop_costs(
@@ -184,8 +183,7 @@ def hop_costs(
 ) -> tuple[_HopCost, float, float]:
     """A hop's figures as a function of its length, with the floors every
     hop's energy and delay is bounded by: `(cost, energy_floor,
-    delay_floor)`. `cost(distance_m)` returns the fields of LinkMetrics,
-    in their declaration order, as a plain tuple.
+    delay_floor)`. `cost(distance_m)` returns the hop's LinkMetrics.
 
     The parts that do not depend on the length are computed here, once:
     the required mean bit SNR and the receive threshold, the time of one
@@ -233,7 +231,7 @@ def hop_costs(
         delay_floor = 2.0 * attempt_s
 
     if not math.isfinite(pmin_dbm):
-        def unusable(distance_m: float) -> tuple[float, float, float, float, float, float]:
+        def unusable(distance_m: float) -> LinkMetrics:
             path_loss_db(distance_m, prop)  # for its distance rule, which comes first
             raise _hop_unusable(
                 distance_m, f"its receive threshold {pmin_w} W has no finite dBm value"
@@ -241,7 +239,7 @@ def hop_costs(
 
         return unusable, energy_floor, delay_floor
 
-    def cost(distance_m: float) -> tuple[float, float, float, float, float, float]:
+    def cost(distance_m: float) -> LinkMetrics:
         if e_fixed is not None:
             pt_dbm, e_single = fixed_dbm, e_fixed
             p_link = outage_probability(ShadowedLink(distance_m, pt_dbm, pmin_dbm), prop)
@@ -265,7 +263,7 @@ def hop_costs(
                 distance_m, f"its expected energy {energy} J/bit "
                 f"or delay {delay} s is outside the double range"
             )
-        return p_link, energy, delay, pt_dbm, pmin_dbm, gamma
+        return LinkMetrics(p_link, energy, delay, pt_dbm, pmin_dbm, gamma)
 
     return cost, energy_floor, delay_floor
 
@@ -284,12 +282,13 @@ def link_metrics(
     delay: `hop_costs` evaluated at one length. Raises as `hop_costs` and
     its `cost` do.
     """
-    cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)[0]
-    return LinkMetrics(*cost(distance_m))
+    return hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)[0](distance_m)
 
 
 def energy_to_dbmj(energy_j: float) -> float:
-    """Energy in decibels referenced to 1 mJ: 10*log10(E / 1 mJ)."""
-    if energy_j <= 0:
+    """Energy in decibels referenced to 1 mJ: 10*log10(E / 1 mJ); inf for
+    an infinite energy. Raises ValueError for one that is not positive,
+    NaN included."""
+    if not energy_j > 0:
         raise ValueError(f"energy must be positive, got {energy_j}")
     return 10.0 * math.log10(energy_j / 1e-3)

@@ -6,16 +6,17 @@ candidates. Route cost is the sum of independent per-hop costs that
 depend only on the hop's index gap, so the cheapest route is a shortest
 path over the N+2 nodes (`shortest_route`), found in O(N^2) from one
 `energy.hop_costs` call and at most N+1 evaluations of the hop it
-returns. The search stops at the direct hop, with the route the shortest
-path would pick, when no route through a relay can beat it: when the
-direct hop costs less than twice a figure every hop's cost is bounded by
-(`optimal_route` gives the two checks and why they are exact).
+returns. The search stops at the direct hop, before any other hop is
+evaluated and with the route the shortest path would pick, when no route
+through a relay can beat it: when the direct hop costs less than twice
+the floor every hop's cost is bounded by (`optimal_route` gives the
+check and why it is exact).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 from .channel import PropagationParams, UnreachableLinkError
@@ -41,13 +42,6 @@ __all__ = [
 ]
 
 MAX_RELAYS = 30
-
-# route objective -> the place in a `hop_costs` tuple, which follows the
-# LinkMetrics fields, of the figure it sums
-_HOP_COST_INDEX = {
-    objective: [f.name for f in fields(LinkMetrics)].index(name)
-    for objective, name in (("energy", "energy_per_bit"), ("delay", "delay"))
-}
 
 
 @dataclass(frozen=True)
@@ -226,55 +220,46 @@ def optimal_route(
     threshold with no finite dBm value, shorter than d0, or outage
     rounding to 1) is no edge.
 
-    The search returns the direct hop early when it costs less than twice
-    a lower bound L on every hop's cost:
-    - before any other hop is evaluated, with L the floor `hop_costs`
-      returns for the objective, under either power policy (a
-      variable-power delay route is always the direct hop: every hop's
-      delay equals its floor);
-    - after all N + 1 hops are evaluated, with L the cheapest of them,
-      without running the shortest path.
-    Both are exact in floating point, so the route, its totals and its
-    hops are those the shortest path would give, bit for bit. A route
-    through a relay sums at least two hops, each costing at least L,
-    and rounding is monotone, so its cost is at least fl(L + L) = 2L,
-    which is more than the direct hop's: the destination keeps
-    predecessor 0.
+    The search returns the direct hop before any other hop is evaluated
+    when it costs less than twice the floor L that `hop_costs` returns
+    for the objective, under either power policy (a variable-power delay
+    route is always the direct hop: every hop's delay equals its floor).
+    This is exact in floating point, so the route, its totals and its
+    hop are those the shortest path would give, bit for bit. A route
+    through a relay sums at least two hops, each costing at least L, and
+    rounding is monotone, so its cost is at least fl(L + L) = 2L, which
+    is more than the direct hop's: the destination keeps predecessor 0.
+    Otherwise every other hop is evaluated and the shortest path runs.
 
     UnreachableLinkError is raised when no route is left, quoting the
     direct hop's error, or when the cheapest route's total energy or
     delay overflows.
     """
-    if objective not in _HOP_COST_INDEX:
+    if objective not in ("energy", "delay"):
         raise ValueError(f"objective must be 'energy' or 'delay', got {objective!r}")
     n_nodes = net.relay_count + 2
     cost, energy_floor, delay_floor = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)
-    index = _HOP_COST_INDEX[objective]
-    floor = delay_floor if objective == "delay" else energy_floor
+    field, floor = ("delay", delay_floor) if objective == "delay" else (
+        "energy_per_bit", energy_floor)
     direct_gap = n_nodes - 1
-    costs: dict[int, tuple[float, ...]] = {}
+    hops: dict[int, LinkMetrics] = {}  # by gap; a gap whose hop is unusable is missing
     hop_cost = [math.inf] * n_nodes  # indexed by gap; a missing edge costs inf
     try:
-        costs[direct_gap] = cost(direct_gap * net.spacing_m)
+        hops[direct_gap] = cost(direct_gap * net.spacing_m)
     except UnreachableLinkError as exc:
         direct_error = exc
     else:
-        hop_cost[direct_gap] = costs[direct_gap][index]
+        hop_cost[direct_gap] = getattr(hops[direct_gap], field)
         if hop_cost[direct_gap] < 2.0 * floor:
-            return _assemble(Route(0), net, {direct_gap: LinkMetrics(*costs[direct_gap])})
+            return _assemble(Route(0), net, hops)
     for gap in range(1, direct_gap):
         try:
-            costs[gap] = cost(gap * net.spacing_m)
+            hops[gap] = cost(gap * net.spacing_m)
         except UnreachableLinkError:
             continue
-        hop_cost[gap] = costs[gap][index]
-    # an unusable direct hop costs inf, which is never below the bound
-    if hop_cost[direct_gap] < 2.0 * min(hop_cost):
-        route = Route(0)
-    else:
-        route = shortest_route(n_nodes, lambda i, j: hop_cost[j - i])
-        if route is None:
-            # the direct hop is then unusable too
-            raise _no_route(net, direct_error)
-    metrics = {gap: LinkMetrics(*costs[gap]) for gap in set(_hop_gaps(route, net))}
-    return _assemble(route, net, metrics)
+        hop_cost[gap] = getattr(hops[gap], field)
+    route = shortest_route(n_nodes, lambda i, j: hop_cost[j - i])
+    if route is None:
+        # the direct hop is then unusable too
+        raise _no_route(net, direct_error)
+    return _assemble(route, net, hops)

@@ -5,8 +5,9 @@
 Writes N seeded random configs (random beta, sigma, span, relays, BER
 targets, t_r_s, packet_bits, powers and grids) and runs each of them
 through `mqamlink.cli.main` as `singlehop`, `multihop --objective energy`
-and `multihop --objective delay` under both power policies, and as
-`joint` under the fixed one. The runs go once through this tree's `src`
+and `multihop --objective delay` under both power policies, as `joint`
+under the fixed one, and as `validate --trials 10000` under both (it
+reads its links from `singlehop`'s rows and writes no CSV). The runs go once through this tree's `src`
 and once through OTHER_SRC (a directory that holds an `mqamlink`
 package), one child interpreter per tree, each in its own working
 directory with the same relative paths. It prints each run whose exit
@@ -31,12 +32,14 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
-# (subcommand argv, the policies it runs under)
+_OUT = ["--out", "out.csv"]
+# (subcommand argv, its flags after the config and policy, the policies it runs under)
 _COMMANDS = (
-    (["singlehop"], ("fixed", "variable")),
-    (["multihop", "--objective", "energy"], ("fixed", "variable")),
-    (["multihop", "--objective", "delay"], ("fixed", "variable")),
-    (["joint"], ("fixed",)),
+    (["singlehop"], _OUT, ("fixed", "variable")),
+    (["multihop", "--objective", "energy"], _OUT, ("fixed", "variable")),
+    (["multihop", "--objective", "delay"], _OUT, ("fixed", "variable")),
+    (["joint"], _OUT, ("fixed",)),
+    (["validate"], ["--trials", "10000"], ("fixed", "variable")),
 )
 _OUTPUTS = ("exit", "stdout", "stderr", "csv")
 
@@ -78,10 +81,10 @@ def runs(configs: int, seed: int) -> tuple[dict[str, str], list[tuple[str, str, 
     for index in range(configs):
         name = f"config_{index}.txt"
         files[name] = random_config(rng)
-        for command, policies in _COMMANDS:
+        for command, flags, policies in _COMMANDS:
             for policy in policies:
-                planned.append((name, policy, [*command, "--config", name, "--policy", policy,
-                                               "--out", "out.csv"]))
+                planned.append((name, policy,
+                                [*command, "--config", name, "--policy", policy, *flags]))
     return files, planned
 
 

@@ -38,6 +38,19 @@ class TestConversions:
         with pytest.raises(ValueError):
             watts_to_dbm(0.0)
 
+    @pytest.mark.parametrize("p_watts", [math.nan, -1e-3, -math.inf])
+    def test_watts_to_dbm_rejects_nan(self, p_watts):
+        with pytest.raises(ValueError, match="must be positive"):
+            watts_to_dbm(p_watts)
+        # an infinite power stays inf: `hop_costs` reports such a threshold
+        assert watts_to_dbm(math.inf) == math.inf
+
+    @pytest.mark.parametrize("p_dbm", [math.nan, -math.nan])
+    def test_dbm_to_watts_rejects_nan(self, p_dbm):
+        with pytest.raises(ValueError, match="must be a number"):
+            dbm_to_watts(p_dbm)
+        assert (dbm_to_watts(math.inf), dbm_to_watts(-math.inf)) == (math.inf, 0.0)
+
 
 class TestKdb:
     def test_reference_carrier(self):

@@ -450,8 +450,8 @@ class TestValidate:
     def test_outage_off_by_two_fails(self, tmp_path, capsys, monkeypatch, factor):
         # p_link = 0.018 at b = 6, 75 m: about 180 outages in 1e4 first attempts
         metrics = sweep.link_metrics
-        monkeypatch.setattr(sweep, "link_metrics", lambda *args, t_r_s: replace(
-            metrics(*args, t_r_s=t_r_s), p_link=factor * metrics(*args, t_r_s=t_r_s).p_link))
+        monkeypatch.setattr(sweep, "link_metrics", lambda *args, t_r_s: (
+            m := metrics(*args, t_r_s=t_r_s))._replace(p_link=factor * m.p_link))
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("b_grid = 6\nd_grid_m = 75\ntrials = 10000\n")
         assert main(["validate", "--config", str(cfg)]) == EXIT_VALIDATION

@@ -17,6 +17,10 @@ def test_runs_cover_every_command_and_policy():
         ("config_0.txt", "variable", ["multihop", "--objective", "delay"]),
         ("config_0.txt", "fixed", ["joint", "--config", "config_0.txt"]),
     ]
+    assert planned[7:9] == [
+        ("config_0.txt", policy, ["validate", "--config", "config_0.txt", "--policy", policy,
+                                  "--trials", "10000"]) for policy in ("fixed", "variable")
+    ]
     # the same seed writes the same configs
     assert runs(2, seed=5) == (files, planned)
 
@@ -24,8 +28,8 @@ def test_runs_cover_every_command_and_policy():
 def test_tree_against_itself_moves_nothing(capsys):
     assert main([str(SRC), "--configs", "4", "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
-        "4 configs, 28 runs: 0 of 16 fixed-policy runs moved, "
-        "0 of 12 variable-policy runs moved\n"
+        "4 configs, 36 runs: 0 of 20 fixed-policy runs moved, "
+        "0 of 16 variable-policy runs moved\n"
     )
 
 
@@ -42,5 +46,6 @@ def test_moved_digits_are_listed(tmp_path, capsys):
                       "stdout, csv moved")
     assert out[1].startswith("  config: beta = ")
     assert out[2].startswith("  stdout - singlehop argmin: ")
-    assert out[-1] == ("1 configs, 7 runs: 4 of 4 fixed-policy runs moved, "
-                       "3 of 3 variable-policy runs moved")
+    # `validate` prints its link distances with the same 12 digits
+    assert out[-1] == ("1 configs, 9 runs: 5 of 5 fixed-policy runs moved, "
+                       "4 of 4 variable-policy runs moved")

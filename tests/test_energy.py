@@ -1,5 +1,4 @@
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -176,6 +175,19 @@ class TestExpectations:
 
 
 class TestLinkMetrics:
+    def test_record_is_a_named_tuple(self, circuit, radio, prop):
+        assert LinkMetrics._fields == (
+            "p_link", "energy_per_bit", "delay", "pt_dbm", "pmin_dbm", "gamma_b_bar")
+        m = link_metrics(60.0, FixedPower(0.1), ModulationScheme(4), BerTarget(1e-3),
+                         circuit, radio, prop)
+        assert type(m) is LinkMetrics and tuple(m) == (
+            m.p_link, m.energy_per_bit, m.delay, m.pt_dbm, m.pmin_dbm, m.gamma_b_bar)
+        with pytest.raises(AttributeError):
+            m.p_link = 0.0
+        halved = m._replace(p_link=m.p_link / 2)
+        assert halved != m and halved._replace(p_link=m.p_link) == m
+        assert hash(LinkMetrics(*m)) == hash(m)
+
     def test_variable_policy_outage_is_half(self, circuit, radio, prop):
         rng = np.random.default_rng(31)
         for _ in range(30):
@@ -273,7 +285,7 @@ def _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_
 
 
 def _bits(m):
-    return [value.hex() for value in astuple(m)]
+    return [value.hex() for value in m]
 
 
 def _default_grid_hops():
@@ -313,7 +325,7 @@ def _every_hop(prop):
 
 class TestThresholdAndHop:
     """`hop_costs` resolves the threshold and the function it returns the
-    hop: that tuple is `link_metrics` bit for bit in every field, and both
+    hop: its LinkMetrics is `link_metrics` bit for bit in every field, and both
     are the one-pass arithmetic. The floors it returns with the function
     are the one-pass attempt energy and time: at the fixed power, or
     doubled at 0 W under a variable power."""
@@ -339,10 +351,10 @@ class TestThresholdAndHop:
             assert str(cost_exc.value) == str(exc)
             return None
         via_cost = cost(d)
-        assert type(via_cost) is tuple
+        assert type(via_cost) is LinkMetrics
         assert via_link.energy_per_bit >= energy_floor and via_link.delay >= delay_floor
         reference = _one_pass_link_metrics(d, policy, scheme, target, circuit, radio, prop, t_r_s)
-        assert _bits(LinkMetrics(*via_cost)) == _bits(via_link) == _bits(reference)
+        assert _bits(via_cost) == _bits(via_link) == _bits(reference)
         return via_link
 
     @pytest.mark.parametrize("policy", [FixedPower(0.1), VariablePower()], ids=["fixed", "variable"])
@@ -467,6 +479,12 @@ class TestDbmj:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             energy_to_dbmj(0.0)
+
+    @pytest.mark.parametrize("energy_j", [math.nan, -1e-3, -math.inf])
+    def test_nan_rejected(self, energy_j):
+        with pytest.raises(ValueError, match="must be positive"):
+            energy_to_dbmj(energy_j)
+        assert energy_to_dbmj(math.inf) == math.inf
 
 
 class TestCircuitProfile:

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,14 +286,14 @@ class TestOptimalRoute:
 
 
 def _reference_route(net, policy, scheme, target, circuit, radio, prop, objective, t_r_s):
-    """The search without its early returns: every hop from `hop_costs`,
+    """The search without its early return: every hop from `hop_costs`,
     then `shortest_route`, the totals summed from the source. Returns the
     RouteResult, or the direct hop's error when no route is usable."""
     cost = hop_costs(policy, scheme, target, circuit, radio, prop, t_r_s)[0]
     figures, error = {}, None
     for gap in range(1, net.relay_count + 2):
         try:
-            figures[gap] = LinkMetrics(*cost(gap * net.spacing_m))
+            figures[gap] = cost(gap * net.spacing_m)
         except UnreachableLinkError as exc:
             error = exc
     field = "energy_per_bit" if objective == "energy" else "delay"
@@ -313,28 +313,30 @@ def _reference_route(net, policy, scheme, target, circuit, radio, prop, objectiv
 
 def _bits(result):
     return (result.route.active_mask, result.total_energy_per_bit.hex(),
-            result.total_delay.hex(), [[v.hex() for v in astuple(h)] for h in result.per_hop])
+            result.total_delay.hex(), [[v.hex() for v in h] for h in result.per_hop])
 
 
 class TestDirectHopChecks:
     """`optimal_route` returns the direct hop early when it costs less than
-    twice a bound on every hop: before the other hops are evaluated, or
-    before the shortest path runs. Either way it returns what the full
+    twice the floor on every hop, before the other hops are evaluated;
+    otherwise the shortest path runs. Either way it returns what the full
     search returns, bit for bit."""
 
     @staticmethod
     def search(monkeypatch, args):
         """optimal_route(*args) with its work recorded: the outcome (the
-        RouteResult or the error), the hop lengths evaluated in order, and
-        the number of shortest-path runs."""
-        lengths, runs = [], []
+        RouteResult or the error), the hop lengths evaluated in order, the
+        figures each evaluation returned, and the number of shortest-path
+        runs."""
+        lengths, figures, runs = [], [], []
 
         def recorded_hop_costs(*hop_args):
             cost, energy_floor, delay_floor = hop_costs(*hop_args)
 
             def recorded(distance_m):
                 lengths.append(distance_m)
-                return cost(distance_m)
+                figures.append(cost(distance_m))
+                return figures[-1]
 
             return recorded, energy_floor, delay_floor
 
@@ -349,13 +351,14 @@ class TestDirectHopChecks:
                 outcome = optimal_route(*args)
             except UnreachableLinkError as exc:
                 outcome = exc
-        return outcome, lengths, len(runs)
+        return outcome, lengths, figures, len(runs)
 
     def check(self, monkeypatch, args):
         """Compare one search with the reference and the oracle, and name
-        the path it took: 'before', 'after', 'dp' or 'error'."""
+        the path it took: 'before', 'dp' or 'error', by whether the
+        shortest path ran."""
         net = args[0]
-        outcome, lengths, runs = self.search(monkeypatch, args)
+        outcome, lengths, _, runs = self.search(monkeypatch, args)
         reference = _reference_route(*args)
         # the direct hop first, and no hop length twice
         assert lengths[0] == (net.relay_count + 1) * net.spacing_m
@@ -372,12 +375,12 @@ class TestDirectHopChecks:
             oracle.total_energy_per_bit, oracle.total_delay)
         if runs:
             return "dp"
-        assert outcome.route == Route(0)
-        return "after" if len(lengths) == net.relay_count + 1 else "before"
+        assert outcome.route == Route(0) and len(lengths) == 1
+        return "before"
 
     def test_seeded_sweep(self, monkeypatch, circuit, radio):
         rng = np.random.default_rng(20261020)
-        paths = {"before": 0, "after": 0, "dp": 0, "error": 0}
+        paths = {"before": 0, "dp": 0, "error": 0}
         for _ in range(400):
             prop = PropagationParams(beta=float(rng.uniform(2.0, 4.5)),
                                      sigma_psi_db=float(rng.uniform(1.0, 10.0)))
@@ -398,7 +401,7 @@ class TestDirectHopChecks:
         (FixedPower(0.1), 2, "delay", "before"),
         (VariablePower(), 2, "energy", "before"),
         (VariablePower(), 2, "delay", "before"),
-        # a relay halves the hop and wins: both checks fail
+        # a relay halves the hop and wins: the floor check fails
         (FixedPower(0.1), 8, "energy", "dp"),
     ])
     def test_named_cases(self, monkeypatch, circuit, radio, prop, policy, b, objective, path):
@@ -411,7 +414,21 @@ class TestDirectHopChecks:
     def test_no_relays(self, monkeypatch, circuit, radio, prop, policy, objective):
         args = (LinearNetwork(100.0, 0), policy, ModulationScheme(6), BerTarget(1e-4),
                 circuit, radio, prop, objective, None)
-        assert self.check(monkeypatch, args) in ("before", "after")
+        assert self.check(monkeypatch, args) in ("before", "dp")
+
+    @pytest.mark.parametrize("policy, b, objective", [
+        (FixedPower(0.1), 2, "energy"),  # the direct hop, before the others
+        (FixedPower(0.1), 8, "energy"),  # through a relay
+        (VariablePower(), 10, "energy"),
+    ])
+    def test_per_hop_holds_the_returned_records(self, monkeypatch, circuit, radio, prop,
+                                                policy, b, objective):
+        args = (NET, policy, ModulationScheme(b), BerTarget(1e-4), circuit, radio, prop,
+                objective, None)
+        outcome, _, figures, _ = self.search(monkeypatch, args)
+        assert all(type(hop) is LinkMetrics for hop in figures)
+        assert outcome.per_hop and all(any(hop is returned for returned in figures)
+                                       for hop in outcome.per_hop)
 
     def test_unusable_direct_hop_is_routed_around(self, monkeypatch, circuit, radio, prop):
         # the saturated 2 km direct hop of test_saturated_direct_hop_is_routed_around
@@ -437,8 +454,9 @@ class TestDirectHopChecks:
 class TestSearchWork:
     """Hop evaluations of the default studies, counted as calls of the
     function `hop_costs` returns, each of which computes one path loss.
-    The direct-hop checks cut them; a search that drops a check, or
-    evaluates the direct hop twice, reads more."""
+    The direct-hop check cuts them; a search that drops it, or evaluates
+    the direct hop twice, reads more. A search it does not end runs the
+    shortest path once."""
 
     @staticmethod
     def evaluations(monkeypatch, study):
@@ -477,6 +495,29 @@ class TestSearchWork:
 
     def test_joint(self, monkeypatch):
         assert self.evaluations(monkeypatch, lambda: run_joint(RunConfig())) == 541
+
+    @pytest.mark.parametrize("study, runs", [
+        ("fixed energy", 3),
+        ("fixed delay", 3),
+        ("variable energy", 8),
+        ("variable delay", 0),
+        ("joint", 49),
+    ])
+    def test_shortest_path_runs(self, monkeypatch, study, runs):
+        calls = []
+
+        def counted_shortest_route(*route_args):
+            calls.append(route_args)
+            return shortest_route(*route_args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "shortest_route", counted_shortest_route)
+            if study == "joint":
+                run_joint(RunConfig())
+            else:
+                policy, objective = study.split()
+                run_multihop(parse_config(f"policy = {policy}\n"), objective)
+        assert len(calls) == runs
 
 
 class TestJointOptimize:
