@@ -4,6 +4,10 @@ Each subcommand is one `_SUBCOMMANDS` entry: its help, its handler and
 its own flags. `singlehop`, `multihop` and `joint` run the corresponding
 sweep and write one CSV per run plus an argmin summary on stdout; `joint`
 sweeps fixed powers, so the variable policy is a config error there.
+Each cell type has one printf conversion, in `_CELL_FORMS`: the CSV
+rows read it, and so does `_fmt` for the numbers that the summaries and
+error notes print. A sweep's whole CSV text is built before its file is
+opened, then written at once.
 `validate` cross-checks the analytic outage model against seeded Monte
 Carlo and fails loudly on disagreement. Its per-link simulations run on
 a thread pool sized to the usable CPUs, and its report is the same for
@@ -22,8 +26,8 @@ config error and a flag wins over a bad value in the file.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import operator
 import os
 import sys
 import threading
@@ -69,22 +73,32 @@ _COLUMN_FIELDS = {"is_global_min": "is_argmin"}
 _TAIL_FALSE_ALARM = gaussian_q(4.0)
 
 
+# the printf conversion of each cell type, so CSVs are bit-stable: 12
+# significant digits for a float, 0/1 for a bool, an empty cell for None.
+# No cell needs CSV quoting: they are numbers, a policy name or a 0/1 mask.
+_CELL_FORMS = {float: "%.12g", bool: "%d", int: "%d", str: "%s", type(None): "%.0s"}
+
+
 def _fmt(value: object) -> str:
-    """Fixed 12-significant-digit formatting so CSVs are bit-stable."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    """One cell's text, in its type's `_CELL_FORMS` conversion."""
+    return _CELL_FORMS[type(value)] % value
+
+
+@functools.cache
+def _row_template(types: tuple[type, ...]) -> str:
+    """The printf template of a CSV row whose cells have these types."""
+    return ",".join([_CELL_FORMS[t] for t in types]) + "\n"
 
 
 def _finish(rows: list[SweepRow], coordinates: Sequence[str], columns: Sequence[str],
             out_path: str, summary: Iterable[str]) -> int:
     """The tail of every sweep: name each error row by b, its BER target
     and its other `coordinates` on stderr; unless every row is one, write
-    the CSV and print the `summary` lines."""
+    the CSV and print the `summary` lines.
+
+    The CSV text is built whole before the file is opened: each row's
+    cells are read at once and formatted by one template per tuple of
+    cell types, so no per-cell code runs in Python."""
     errors = [r for r in rows if r.error is not None]
     for row in errors:
         point = "".join(f" {name}={_fmt(getattr(row, name))}" for name in coordinates)
@@ -93,11 +107,11 @@ def _finish(rows: list[SweepRow], coordinates: Sequence[str], columns: Sequence[
     if len(errors) == len(rows):
         print("error: every grid point was infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    cells = operator.attrgetter(*[_COLUMN_FIELDS.get(name, name) for name in columns])
+    text = "".join([",".join(columns) + "\n", *[
+        _row_template(tuple(map(type, values))) % values for values in map(cells, rows)]])
     with open(out_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([_fmt(getattr(row, _COLUMN_FIELDS.get(name, name))) for name in columns]
-                         for row in rows)
+        handle.write(text)
     for line in summary:
         print(line)
     return EXIT_OK

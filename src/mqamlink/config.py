@@ -229,7 +229,7 @@ def parse_config(text: str, **overrides: object) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for key '{key}': {exc}") from exc
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(unknown))
-    config = replace(RunConfig(), **{**values, **overrides})
+    config = RunConfig(**{**values, **overrides})
     config.validate()
     return config
 
@@ -243,11 +243,20 @@ def _format_value(value: object) -> str:
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical document: every set key, declaration order, one per line."""
+    """Canonical document: every set key, declaration order, one per line.
+
+    Raises ValueError naming the key when a value holds a `#` or a line
+    break, or starts or ends with whitespace: `parse_config` would read
+    such a value back changed, or not at all.
+    """
     lines = []
     for f in fields(config):
         value = getattr(config, f.name)
         if value is None:
             continue
-        lines.append(f"{f.name} = {_format_value(value)}")
+        text = _format_value(value)
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ValueError(f"key '{f.name}' cannot be serialized: {text!r} holds '#', "
+                             "a line break or surrounding whitespace")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"

@@ -39,7 +39,9 @@ def test_moved_digits_are_listed(tmp_path, capsys):
     shutil.copytree(SRC / "mqamlink", other / "mqamlink",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = other / "mqamlink" / "cli.py"
-    cli.write_text(cli.read_text().replace('f"{value:.12g}"', 'f"{value:.11g}"'))
+    text = cli.read_text()
+    assert text.count('float: "%.12g"') == 1  # the one float conversion, CSV and stdout alike
+    cli.write_text(text.replace('float: "%.12g"', 'float: "%.11g"'))
     assert main([str(other), "--configs", "1", "--seed", "4"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ("singlehop --config config_0.txt --policy fixed --out out.csv: "

@@ -175,6 +175,15 @@ class TestRoundTrip:
         assert once == twice
 
 
+@pytest.mark.parametrize("path", ["run#1.csv", " lead.csv", "trail.csv ", "a\nb.csv",
+                                  "a\rb.csv", "a\u2028b.csv"])
+def test_serialize_rejects_a_value_it_cannot_write(path):
+    # a valid config, as `--out` gives it, that no document can hold
+    config = parse_config("", output_path=path)
+    with pytest.raises(ValueError, match="key 'output_path' cannot be serialized"):
+        serialize_config(config)
+
+
 class TestDomainMapping:
     def test_policy_objects(self):
         assert parse_config("policy = fixed\npt_mw = 50\n").power_policy() == FixedPower(0.05)
